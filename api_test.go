@@ -2,15 +2,74 @@ package crossborder_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"crossborder"
 	"crossborder/internal/experiments"
 )
 
-var updateExperimentsMD = flag.Bool("update", false, "rewrite EXPERIMENTS.md from the experiment registry")
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md from the experiment registry and "+goldenDigestsFile+" from the golden study")
+
+// goldenDigestsFile holds the SHA-256 of each of the 20 RenderAll
+// artifacts at the golden shape (seed 1 / scale 0.05 / 40 visits), one
+// "<hex digest>  <experiment id>" line per artifact in paper order.
+// Every store variant must render exactly these bytes. Regenerate with
+// `go test -run TestGoldenRenderAllMatchesLegacy . -update` — only when
+// an artifact is meant to change.
+const goldenDigestsFile = "testdata/golden_artifacts.sha256"
+
+// goldenStudy builds the study at the golden shape with extra options.
+func goldenStudy(t *testing.T, opts ...crossborder.Option) *crossborder.Study {
+	t.Helper()
+	opts = append([]crossborder.Option{
+		crossborder.WithSeed(1),
+		crossborder.WithScale(0.05),
+		crossborder.WithVisitsPerUser(40),
+	}, opts...)
+	st, err := crossborder.New(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// formatDigests renders artifacts in the goldenDigestsFile format.
+func formatDigests(artifacts []string) string {
+	ids := crossborder.ExperimentIDs()
+	var b strings.Builder
+	for i, a := range artifacts {
+		sum := sha256.Sum256([]byte(a))
+		fmt.Fprintf(&b, "%s  %s\n", hex.EncodeToString(sum[:]), ids[i])
+	}
+	return b.String()
+}
+
+// checkGoldenDigests compares the rendered artifacts of one store
+// variant against the committed digests, naming each artifact that
+// differs.
+func checkGoldenDigests(t *testing.T, variant string, artifacts []string) {
+	t.Helper()
+	raw, err := os.ReadFile(goldenDigestsFile)
+	if err != nil {
+		t.Fatalf("%s missing (regenerate with -update): %v", goldenDigestsFile, err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	got := strings.Split(strings.TrimSuffix(formatDigests(artifacts), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d artifacts, %s pins %d", variant, len(got), goldenDigestsFile, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: artifact digest %q, golden %q", variant, got[i], want[i])
+		}
+	}
+}
 
 // legacyRenderAll reproduces the pre-registry RenderAll byte for byte:
 // the hand-wired sequential composition over the Suite's typed methods.
@@ -44,17 +103,18 @@ func legacyRenderAll(su *experiments.Suite) []string {
 
 // TestGoldenRenderAllMatchesLegacy pins the redesign's contract: for
 // seed 1 / scale 0.05, the registry-backed RenderAll is byte-identical
-// to the pre-redesign sequential rendering.
+// to the pre-redesign sequential rendering, and both match the committed
+// golden digests.
 func TestGoldenRenderAllMatchesLegacy(t *testing.T) {
-	study, err := crossborder.New(context.Background(),
-		crossborder.WithSeed(1),
-		crossborder.WithScale(0.05),
-		crossborder.WithVisitsPerUser(40))
-	if err != nil {
-		t.Fatal(err)
-	}
+	study := goldenStudy(t)
 	want := legacyRenderAll(study.Suite)
 	got := study.RenderAll()
+	if *update {
+		if err := os.WriteFile(goldenDigestsFile, []byte(formatDigests(got)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGoldenDigests(t, "mem-wide", got)
 	if len(got) != len(want) {
 		t.Fatalf("RenderAll returned %d artifacts, legacy rendering has %d", len(got), len(want))
 	}
@@ -143,7 +203,7 @@ func TestStudyArtifactAPI(t *testing.T) {
 // Regenerate with `go test -run TestExperimentsMarkdownInSync . -update`.
 func TestExperimentsMarkdownInSync(t *testing.T) {
 	want := experiments.MarkdownIndex()
-	if *updateExperimentsMD {
+	if *update {
 		if err := os.WriteFile("EXPERIMENTS.md", []byte(want), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -37,8 +37,6 @@
 //	if err != nil { ... } // ctx.Err() on cancellation, workers drained
 //	fmt.Println(study.Fig7().Render()) // the MaxMind-vs-IPmap flip
 //
-// NewStudy remains as a deprecated, non-cancellable shim.
-//
 // # The experiment registry
 //
 // Every table and figure of the paper is a registered Experiment with a
@@ -75,7 +73,7 @@
 //     netsim.World lookups after Freeze perform no writes and are safe
 //     for any number of concurrent readers (verified under -race).
 //
-// Downstream, core.Analyze shards its row scan over GOMAXPROCS workers
+// Downstream, core.Analyze shards its chunk scan over GOMAXPROCS workers
 // and merges the per-shard flow maps (commutative counter addition), and
 // the registry's RunAll computes independent experiments concurrently
 // over the precomputed geolocation joins.
@@ -86,14 +84,17 @@
 // a pluggable store. WithRowStore selects the backend — the in-memory
 // default, or DiskRowStore, which spills chunks to a temporary file
 // and keeps only the one-byte class column resident. Sealed chunks run
-// through a per-column codec (dictionary, run-length and delta
-// encodings with canonical Huffman packing, plus an LZ4-style block
-// pass) that cuts the spill file about 3.5x versus the raw layout;
-// WithCompression overrides the default (on for disk, off in memory —
-// turning it on in memory keeps sealed chunks compressed, which is
-// what long-running collectors want). The codec is lossless and
-// checksummed, so backend and compression choices never change a
-// rendered artifact.
+// through a per-column codec that stores each column raw, run-length
+// coded, or as a sorted dictionary with bit-packed or canonical-Huffman
+// indices, whichever is smallest; it cuts the spill file about 3.2x
+// versus the raw layout. Blocks of the earlier frame format that used
+// its zigzag-delta or LZ4 schemes are refused with an error naming
+// that format. WithCompression overrides the default (on for disk,
+// off in memory — turning it on in memory keeps sealed chunks
+// compressed, which is what long-running collectors want). The codec
+// is lossless and checksummed, and every experiment kernel is one
+// projection scan that runs unchanged on every store, so backend and
+// compression choices never change a rendered artifact.
 //
 // # Scenario packs and sweeps
 //

@@ -160,7 +160,7 @@ func BenchmarkChunkCodec(b *testing.B) {
 // BenchmarkScanCols measures the projection scan over the compressed
 // spill store. proj reads two of the nine columns in encoded form (the
 // run/dict views of an Analyze-shaped kernel); wide is the same data
-// through the decode-to-rows Scan for comparison; zonemap-skip prunes
+// through the full-width Scan for comparison; zonemap-skip prunes
 // every chunk from its zone map alone, measuring the metadata-only
 // floor of a selective query. Bytes/op is the raw fixed-width
 // reference in all three, so MB/s is directly comparable.

@@ -23,7 +23,6 @@ import (
 //   - rle        (run length, value) pairs — the Publisher/User/Day/
 //                Country columns are long runs because the merge emits
 //                rows in user then visit order
-//   - delta      zigzag deltas, uvarint-coded — monotone id columns
 //   - dict       sorted distinct values (delta-uvarint) + bit-packed
 //                indices — the interned-id and IP columns have a few
 //                hundred distinct values per 16Ki-row chunk
@@ -31,9 +30,10 @@ import (
 //                — the id distributions are Zipf-skewed, so entropy
 //                coding beats fixed-width packing
 //
-// and any scheme's payload may additionally be wrapped in the LZ4-style
-// block compressor from lz4.go when that shrinks it further (templated
-// RTB cascades repeat multi-byte patterns that per-value schemes miss).
+// Tag 2 and the tag bit 0x80 belonged to the retired frame format's
+// zigzag-delta scheme and LZ4 wrapper. The decoder refuses them with an
+// error naming that format, so a checkpoint or spill block that used
+// them fails to load instead of being misread.
 //
 // Block frame (what SpillSink writes per chunk and the compressed
 // MemStore keeps resident):
@@ -58,22 +58,28 @@ import (
 // exactly complete code. Forged input errors out; it cannot panic or
 // over-allocate (FuzzDecodeChunk).
 
-// Column encoding schemes (low 7 bits of the column tag).
+// Column encoding schemes: the column tag byte (see tagError for the
+// retired ones).
 const (
 	colRaw      = 0
 	colRLE      = 1
-	colDelta    = 2
 	colDict     = 3
 	colDictHuff = 4
-
-	// colLZ4 marks the payload as LZ4-wrapped: [uvarint inner length]
-	// [lz4 stream], with the inner stream encoded per the scheme bits.
-	colLZ4 = 0x80
 )
 
-// numSchemes is the number of base column encoding schemes
-// (colRaw..colDictHuff), the index space of EncBreakdown.
-const numSchemes = 5
+// numSchemes bounds the scheme tags (colRaw..colDictHuff), the index
+// space of EncBreakdown.
+const numSchemes = colDictHuff + 1
+
+// tagError explains why a column tag is refused: tag 2 (zigzag delta)
+// and the 0x80 bit (LZ4 wrapper) are columns of the retired frame
+// format, anything else is corruption.
+func tagError(tag byte) error {
+	if tag == 2 || tag&0x80 != 0 {
+		return fmt.Errorf("%w: column tag 0x%02x is a delta or LZ4 column of the retired frame format, which this codec no longer reads; re-encode the data", errCorrupt, tag)
+	}
+	return fmt.Errorf("%w: unknown column tag 0x%02x", errCorrupt, tag)
+}
 
 // Format-flag bits of the frame's fifth byte.
 const (
@@ -122,9 +128,9 @@ var errCorrupt = errors.New("classify: corrupt chunk block")
 // become Semi*), so skip decisions about classes must consult the
 // resident Store.Classes slice, not this bitmap.
 type ZoneMap struct {
-	Min      [numCols]uint64
-	Max      [numCols]uint64
-	Distinct [numCols]uint32 // 0 = not computed (raw/uncompressed encode)
+	Min       [numCols]uint64
+	Max       [numCols]uint64
+	Distinct  [numCols]uint32 // 0 = not computed (raw/uncompressed encode)
 	ClassBits uint8
 }
 
@@ -256,11 +262,11 @@ func inspectBlock(block []byte) (rows int, tags [numCols]byte, sizes [numCols]in
 }
 
 // ChunkCodec holds the reusable scratch of the chunk codec: staging
-// buffers, dictionary and Huffman tables, and the LZ4 hash chain. It
-// is not safe for concurrent use; each worker borrows one (they are
-// sync.Pool-backed via GetCodec/PutCodec, and a Chunk decode buffer
-// lazily attaches one so per-worker scan loops reuse a single codec
-// across all their chunk loads).
+// buffers and dictionary and Huffman tables. It is not safe for
+// concurrent use; each worker borrows one (they are sync.Pool-backed
+// via GetCodec/PutCodec, and a Chunk decode buffer lazily attaches one
+// so per-worker scan loops reuse a single codec across all their chunk
+// loads).
 type ChunkCodec struct {
 	vals   []uint64 // staged column values
 	dict   []uint64 // sorted distinct values
@@ -269,12 +275,7 @@ type ChunkCodec struct {
 	lens   []uint8  // Huffman code length per symbol
 	codes  []uint32 // Huffman code per symbol
 	winner []byte   // winning candidate payload staging
-	cand   []byte   // candidate payload staging
-	rawCol []byte   // raw column bytes (LZ4 input)
-	lz     []byte   // LZ4 output staging
-	inner  []byte   // LZ4-unwrapped payload (decode)
-	htab   []int32  // LZ4 hash heads
-	chain  []int32  // LZ4 hash chains
+	view   ColView  // column decode target of DecodeBlock
 
 	// Huffman build scratch.
 	hOrd  []int32
@@ -346,14 +347,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-func zigzag(d uint64) uint64 {
-	return uint64(int64(d)<<1) ^ uint64(int64(d)>>63)
-}
-
-func unzigzag(z uint64) uint64 {
-	return (z >> 1) ^ uint64(-int64(z&1))
 }
 
 // stage gathers column col of c into cc.vals.
@@ -532,10 +525,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 		rleSize += uvarintLen(uint64(j-i)) + uvarintLen(vals[i])
 		i = j
 	}
-	deltaSize := uvarintLen(zigzag(vals[0]))
-	for i := 1; i < n; i++ {
-		deltaSize += uvarintLen(zigzag(vals[i] - vals[i-1]))
-	}
 
 	// Dictionary: sorted distinct values, stored as uvarint deltas.
 	cc.dict = append(cc.dict[:0], vals...)
@@ -589,9 +578,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 	if rleSize < best {
 		tag, best = colRLE, rleSize
 	}
-	if deltaSize < best {
-		tag, best = colDelta, deltaSize
-	}
 	if packSize < best {
 		tag, best = colDict, packSize
 	}
@@ -611,11 +597,6 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 			cc.winner = binary.AppendUvarint(cc.winner, uint64(j-i))
 			cc.winner = binary.AppendUvarint(cc.winner, vals[i])
 			i = j
-		}
-	case colDelta:
-		cc.winner = binary.AppendUvarint(cc.winner, zigzag(vals[0]))
-		for i := 1; i < n; i++ {
-			cc.winner = binary.AppendUvarint(cc.winner, zigzag(vals[i]-vals[i-1]))
 		}
 	case colDict:
 		cc.winner = cc.appendDict(cc.winner)
@@ -653,39 +634,9 @@ func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
 		}
 	}
 
-	// LZ4 pass: try wrapping the winner, and independently the raw
-	// bytes — a column whose dictionary barely beats raw (near-unique
-	// hashes) can still hold byte-level repeats LZ4 finds. The raw
-	// attempt is skipped once the per-value winner already compresses
-	// below half of raw: LZ4's token stream cannot reach that density
-	// on fixed-width input, so the pass would be pure encode cost.
-	if cap(cc.htab) < lzHashLen {
-		cc.htab = make([]int32, lzHashLen)
-	}
-	bestTag, bestPayload := tag, cc.winner
-	if len(cc.chain) < len(cc.winner) {
-		cc.chain = make([]int32, len(cc.winner)+rawSize)
-	}
-	cc.lz = binary.AppendUvarint(cc.lz[:0], uint64(len(cc.winner)))
-	if lz := lzCompress(cc.winner, cc.lz, cc.htab, cc.chain); lz != nil && len(lz) < len(bestPayload) {
-		cc.lz = lz
-		bestTag, bestPayload = tag|colLZ4, lz
-	}
-	if tag != colRaw && 2*len(bestPayload) > rawSize {
-		cc.rawCol = appendRawVals(cc.rawCol[:0], vals, width)
-		if len(cc.chain) < rawSize {
-			cc.chain = make([]int32, rawSize)
-		}
-		cc.cand = binary.AppendUvarint(cc.cand[:0], uint64(rawSize))
-		if lz := lzCompress(cc.rawCol, cc.cand, cc.htab, cc.chain); lz != nil && len(lz) < len(bestPayload) {
-			cc.cand = lz
-			bestTag, bestPayload = colRaw|colLZ4, lz
-		}
-	}
-
-	dst = append(dst, bestTag)
-	dst = binary.AppendUvarint(dst, uint64(len(bestPayload)))
-	return append(dst, bestPayload...)
+	dst = append(dst, tag)
+	dst = binary.AppendUvarint(dst, uint64(len(cc.winner)))
+	return append(dst, cc.winner...)
 }
 
 // appendDict emits [uvarint ndict][sorted values as uvarint deltas].
@@ -741,10 +692,7 @@ func (cc *ChunkCodec) DecodeBlock(block []byte, wantRows int, buf *Chunk) error 
 		return fmt.Errorf("%w: implausible row count %d", errCorrupt, rows64)
 	}
 	buf.reset(n)
-	if cap(cc.vals) < n {
-		cc.vals = make([]uint64, n)
-	}
-	cc.vals = cc.vals[:n]
+	v := &cc.view
 	for col := 0; col < numCols; col++ {
 		if len(rest) < 1 {
 			return fmt.Errorf("%w: truncated at column %d", errCorrupt, col)
@@ -756,10 +704,10 @@ func (cc *ChunkCodec) DecodeBlock(block []byte, wantRows int, buf *Chunk) error 
 		}
 		payload := rest[1+k : 1+k+int(plen64)]
 		rest = rest[1+k+int(plen64):]
-		if err := cc.decodeColumn(payload, tag, n, colWidths[col]); err != nil {
+		if err := cc.decodeColumn(payload, tag, n, colWidths[col], v); err != nil {
 			return fmt.Errorf("column %d: %w", col, err)
 		}
-		scatter(buf, col, cc.vals)
+		scatter(buf, col, v.expand(n))
 	}
 	if flags&frameHasSections != 0 {
 		// Tagged sections follow; validate framing but skip the
@@ -779,140 +727,6 @@ func (cc *ChunkCodec) DecodeBlock(block []byte, wantRows int, buf *Chunk) error 
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(rest))
-	}
-	return nil
-}
-
-// decodeColumn fills cc.vals[:n] from one column payload.
-func (cc *ChunkCodec) decodeColumn(payload []byte, tag byte, n, width int) error {
-	if tag&colLZ4 != 0 {
-		innerLen, k := binary.Uvarint(payload)
-		if k <= 0 || innerLen > uint64(n*width+64) {
-			return fmt.Errorf("%w: bad lz4 inner length", errCorrupt)
-		}
-		if cap(cc.inner) < int(innerLen) {
-			cc.inner = make([]byte, innerLen)
-		}
-		cc.inner = cc.inner[:innerLen]
-		if err := lzDecompress(payload[k:], cc.inner); err != nil {
-			return err
-		}
-		payload = cc.inner
-		tag &^= colLZ4
-	}
-	var maxVal uint64 = 1<<(8*uint(width)) - 1
-	if width == 8 {
-		maxVal = ^uint64(0)
-	}
-	vals := cc.vals[:n]
-	switch tag {
-	case colRaw:
-		if len(payload) != n*width {
-			return fmt.Errorf("%w: raw column is %d bytes, want %d", errCorrupt, len(payload), n*width)
-		}
-		switch width {
-		case 8:
-			for i := range vals {
-				vals[i] = binary.LittleEndian.Uint64(payload[i*8:])
-			}
-		case 4:
-			for i := range vals {
-				vals[i] = uint64(binary.LittleEndian.Uint32(payload[i*4:]))
-			}
-		case 2:
-			for i := range vals {
-				vals[i] = uint64(binary.LittleEndian.Uint16(payload[i*2:]))
-			}
-		default:
-			for i := range vals {
-				vals[i] = uint64(payload[i])
-			}
-		}
-	case colRLE:
-		i := 0
-		for i < n {
-			run, k := binary.Uvarint(payload)
-			if k <= 0 || run == 0 || run > uint64(n-i) {
-				return fmt.Errorf("%w: bad rle run", errCorrupt)
-			}
-			payload = payload[k:]
-			v, k := binary.Uvarint(payload)
-			if k <= 0 || v > maxVal {
-				return fmt.Errorf("%w: bad rle value", errCorrupt)
-			}
-			payload = payload[k:]
-			for j := 0; j < int(run); j++ {
-				vals[i+j] = v
-			}
-			i += int(run)
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("%w: trailing rle bytes", errCorrupt)
-		}
-	case colDelta:
-		var prev uint64
-		for i := range vals {
-			z, k := binary.Uvarint(payload)
-			if k <= 0 {
-				return fmt.Errorf("%w: truncated delta stream", errCorrupt)
-			}
-			payload = payload[k:]
-			prev += unzigzag(z)
-			if prev > maxVal {
-				return fmt.Errorf("%w: delta value overflows column width", errCorrupt)
-			}
-			vals[i] = prev
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("%w: trailing delta bytes", errCorrupt)
-		}
-	case colDict, colDictHuff:
-		var err error
-		if payload, err = cc.readDict(payload, n, maxVal); err != nil {
-			return err
-		}
-		d := len(cc.dict)
-		if tag == colDict {
-			bits := bitsFor(d)
-			if need := (n*bits + 7) / 8; len(payload) != need {
-				return fmt.Errorf("%w: packed indices are %d bytes, want %d", errCorrupt, len(payload), need)
-			}
-			var acc uint64
-			var nb uint
-			pi := 0
-			mask := uint64(1)<<bits - 1
-			for i := range vals {
-				for nb < uint(bits) {
-					acc |= uint64(payload[pi]) << nb
-					pi++
-					nb += 8
-				}
-				k := acc & mask
-				acc >>= uint(bits)
-				nb -= uint(bits)
-				if k >= uint64(d) {
-					return fmt.Errorf("%w: dictionary index out of range", errCorrupt)
-				}
-				vals[i] = cc.dict[k]
-			}
-		} else {
-			if len(payload) < d {
-				return fmt.Errorf("%w: truncated code lengths", errCorrupt)
-			}
-			if cap(cc.lens) < d {
-				cc.lens = make([]uint8, d)
-			}
-			cc.lens = cc.lens[:d]
-			copy(cc.lens, payload[:d])
-			if err := cc.buildDecodeTables(); err != nil {
-				return err
-			}
-			if err := cc.huffDecode(payload[d:], vals); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown column tag 0x%02x", errCorrupt, tag)
 	}
 	return nil
 }
@@ -1119,28 +933,13 @@ func (cc *ChunkCodec) buildDecodeTables() error {
 	return nil
 }
 
-// decodeColumnView decodes one column payload into v in its cheapest
-// faithful form — the projection path's alternative to decodeColumn:
-// RLE stays (value, run) pairs, dictionary schemes stay the sorted
-// dictionary plus per-row index stream, raw and delta decode to wide
-// values. Validation matches the wide decode; the outputs are backed
-// by v's own arrays so several columns can be live at once.
-func (cc *ChunkCodec) decodeColumnView(payload []byte, tag byte, n, width int, v *ColView) error {
-	if tag&colLZ4 != 0 {
-		innerLen, k := binary.Uvarint(payload)
-		if k <= 0 || innerLen > uint64(n*width+64) {
-			return fmt.Errorf("%w: bad lz4 inner length", errCorrupt)
-		}
-		if cap(cc.inner) < int(innerLen) {
-			cc.inner = make([]byte, innerLen)
-		}
-		cc.inner = cc.inner[:innerLen]
-		if err := lzDecompress(payload[k:], cc.inner); err != nil {
-			return err
-		}
-		payload = cc.inner
-		tag &^= colLZ4
-	}
+// decodeColumn decodes one column payload of n rows into v in its
+// cheapest faithful form: RLE stays (value, run) pairs, dictionary
+// schemes stay the sorted dictionary plus per-row index stream, raw
+// decodes to wide values. The projection path reads the view as is;
+// the full-width DecodeBlock expands it. The outputs are backed by v's
+// own arrays so several columns can be live at once.
+func (cc *ChunkCodec) decodeColumn(payload []byte, tag byte, n, width int, v *ColView) error {
 	var maxVal uint64 = 1<<(8*uint(width)) - 1
 	if width == 8 {
 		maxVal = ^uint64(0)
@@ -1151,6 +950,7 @@ func (cc *ChunkCodec) decodeColumnView(payload []byte, tag byte, n, width int, v
 			return fmt.Errorf("%w: raw column is %d bytes, want %d", errCorrupt, len(payload), n*width)
 		}
 		vals := v.wideBuf(n)
+		v.Form = ViewWide
 		switch width {
 		case 8:
 			for i := range vals {
@@ -1169,9 +969,9 @@ func (cc *ChunkCodec) decodeColumnView(payload []byte, tag byte, n, width int, v
 				vals[i] = uint64(payload[i])
 			}
 		}
-		v.Form = ViewWide
 	case colRLE:
 		v.Runs = v.Runs[:0]
+		v.Form = ViewRuns
 		i := 0
 		for i < n {
 			run, k := binary.Uvarint(payload)
@@ -1190,41 +990,18 @@ func (cc *ChunkCodec) decodeColumnView(payload []byte, tag byte, n, width int, v
 		if len(payload) != 0 {
 			return fmt.Errorf("%w: trailing rle bytes", errCorrupt)
 		}
-		v.Form = ViewRuns
-	case colDelta:
-		vals := v.wideBuf(n)
-		var prev uint64
-		for i := range vals {
-			z, k := binary.Uvarint(payload)
-			if k <= 0 {
-				return fmt.Errorf("%w: truncated delta stream", errCorrupt)
-			}
-			payload = payload[k:]
-			prev += unzigzag(z)
-			if prev > maxVal {
-				return fmt.Errorf("%w: delta value overflows column width", errCorrupt)
-			}
-			vals[i] = prev
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("%w: trailing delta bytes", errCorrupt)
-		}
-		v.Form = ViewWide
 	case colDict, colDictHuff:
 		var err error
 		if payload, err = cc.readDict(payload, n, maxVal); err != nil {
 			return err
 		}
 		d := len(cc.dict)
-		if cap(v.Dict) < d {
-			v.Dict = make([]uint64, d)
-		}
-		v.Dict = v.Dict[:d]
-		copy(v.Dict, cc.dict)
+		v.Dict = append(v.Dict[:0], cc.dict...)
 		if cap(v.Idx) < n {
 			v.Idx = make([]uint32, n)
 		}
 		v.Idx = v.Idx[:n]
+		v.Form = ViewDict
 		if tag == colDict {
 			bits := bitsFor(d)
 			if need := (n*bits + 7) / 8; len(payload) != need {
@@ -1260,75 +1037,19 @@ func (cc *ChunkCodec) decodeColumnView(payload []byte, tag byte, n, width int, v
 			if err := cc.buildDecodeTables(); err != nil {
 				return err
 			}
-			if err := cc.huffDecodeIdx(payload[d:], v.Idx); err != nil {
+			if err := cc.huffDecode(payload[d:], v.Idx); err != nil {
 				return err
 			}
 		}
-		v.Form = ViewDict
 	default:
-		return fmt.Errorf("%w: unknown column tag 0x%02x", errCorrupt, tag)
+		return tagError(tag)
 	}
 	return nil
 }
 
-// huffDecode decodes len(vals) symbols from the bitstream, mapping
-// them through cc.dict.
-func (cc *ChunkCodec) huffDecode(stream []byte, vals []uint64) error {
-	d := uint32(len(cc.dict))
-	totalBits := 8 * len(stream)
-	var acc uint64
-	var bits uint
-	off, consumed := 0, 0
-	for i := range vals {
-		for bits <= 56 && off < len(stream) {
-			acc |= uint64(stream[off]) << (56 - bits)
-			off++
-			bits += 8
-		}
-		e := cc.dTable[uint32(acc>>(64-huffTableBits))]
-		l := uint(e & 0xff)
-		var sym uint32
-		if l != 0 {
-			sym = e >> 8
-		} else {
-			// Long code: canonical per-length search.
-			code := uint32(0)
-			found := false
-			for cl := 1; cl <= huffMaxLen; cl++ {
-				code = code<<1 | uint32(acc>>(64-uint(cl))&1)
-				if cnt := cc.dCount[cl]; cnt > 0 && code-cc.dFirst[cl] < cnt {
-					sym = cc.dRank[cc.dOffset[cl]+code-cc.dFirst[cl]]
-					l = uint(cl)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("%w: invalid huffman code", errCorrupt)
-			}
-		}
-		consumed += int(l)
-		if consumed > totalBits {
-			return fmt.Errorf("%w: truncated huffman stream", errCorrupt)
-		}
-		acc <<= l
-		if l > bits {
-			bits = 0
-		} else {
-			bits -= l
-		}
-		if sym >= d {
-			return fmt.Errorf("%w: huffman symbol out of range", errCorrupt)
-		}
-		vals[i] = cc.dict[sym]
-	}
-	return nil
-}
-
-// huffDecodeIdx is huffDecode emitting raw symbol indices instead of
-// dictionary values — the projection path keeps the index stream so
-// predicates translate once per chunk into id sets.
-func (cc *ChunkCodec) huffDecodeIdx(stream []byte, idx []uint32) error {
+// huffDecode decodes len(idx) canonical-Huffman symbols from the
+// bitstream as dictionary indices, range-checked against cc.dict.
+func (cc *ChunkCodec) huffDecode(stream []byte, idx []uint32) error {
 	d := uint32(len(cc.dict))
 	totalBits := 8 * len(stream)
 	var acc uint64
@@ -1346,6 +1067,7 @@ func (cc *ChunkCodec) huffDecodeIdx(stream []byte, idx []uint32) error {
 		if l != 0 {
 			sym = e >> 8
 		} else {
+			// Long code: canonical per-length search.
 			code := uint32(0)
 			found := false
 			for cl := 1; cl <= huffMaxLen; cl++ {

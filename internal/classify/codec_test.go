@@ -1,7 +1,6 @@
 package classify
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
@@ -295,61 +294,36 @@ func TestDecodeBlockRejectsForgedInput(t *testing.T) {
 	}
 }
 
-func TestLZ4RoundTrip(t *testing.T) {
+// TestDecodeRefusesRetiredTags: a block whose column carries a tag of
+// the retired frame format (tag 2, zigzag delta; bit 0x80, the LZ4
+// wrapper) is refused by the full decode and by the projection decode
+// with an error that names the retired format, not misread.
+func TestDecodeRefusesRetiredTags(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	htab := make([]int32, lzHashLen)
-	inputs := [][]byte{
-		bytes.Repeat([]byte("abcd"), 1000),
-		bytes.Repeat([]byte("long templated cascade pattern / "), 64),
-		make([]byte, 4096), // zeros
-	}
-	mixed := make([]byte, 8192)
-	for i := range mixed {
-		if i%512 < 200 {
-			mixed[i] = byte(rng.Intn(256)) // incompressible stretch
-		} else {
-			mixed[i] = byte(i % 7)
+	const n = 500
+	c := chunkOf(randomRows(rng, n, 20))
+	cc := GetCodec()
+	defer PutCodec(cc)
+	block := cc.EncodeBlock(c, true, nil)
+	tagAt := 5 + uvarintLen(n) // column 0's tag byte
+	for _, tag := range []byte{2, 0x80, 0x80 | colRaw, 0x80 | colDictHuff} {
+		b := append([]byte(nil), block...)
+		b[tagAt] = tag
+		binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], castagnoli))
+		err := DecodeBlockInto(b, n, &Chunk{})
+		if err == nil || !strings.Contains(err.Error(), "retired frame format") {
+			t.Errorf("tag 0x%02x: DecodeBlock = %v, want the retired-format error", tag, err)
+		}
+		var v ColView
+		err = cc.decodeColumn(nil, tag, n, colWidths[0], &v)
+		if err == nil || !strings.Contains(err.Error(), "retired frame format") {
+			t.Errorf("tag 0x%02x: projection decode = %v, want the retired-format error", tag, err)
 		}
 	}
-	inputs = append(inputs, mixed)
-	for i, src := range inputs {
-		chain := make([]int32, len(src))
-		enc := lzCompress(src, nil, htab, chain)
-		if enc == nil {
-			t.Fatalf("input %d: compressible data reported incompressible", i)
-		}
-		if len(enc) >= len(src) {
-			t.Fatalf("input %d: no compression (%d >= %d)", i, len(enc), len(src))
-		}
-		out := make([]byte, len(src))
-		if err := lzDecompress(enc, out); err != nil {
-			t.Fatalf("input %d: decompress: %v", i, err)
-		}
-		if !bytes.Equal(out, src) {
-			t.Fatalf("input %d: round trip mismatch", i)
-		}
-		// Truncations and size lies must error, not panic.
-		for cut := 1; cut < len(enc); cut += 7 {
-			if err := lzDecompress(enc[:cut], out); err == nil && cut < len(enc) {
-				t.Fatalf("input %d: truncation at %d decoded cleanly to full size", i, cut)
-			}
-		}
-		if err := lzDecompress(enc, make([]byte, len(src)+1)); err == nil {
-			t.Fatalf("input %d: oversized declared output accepted", i)
-		}
-	}
-	// Random noise must be reported incompressible, and random "streams"
-	// must never panic the decoder.
-	noise := make([]byte, 4096)
-	rng.Read(noise)
-	if enc := lzCompress(noise, nil, htab, make([]int32, len(noise))); enc != nil {
-		t.Log("noise compressed (harmless, just unexpected)")
-	}
-	out := make([]byte, 512)
-	for trial := 0; trial < 2000; trial++ {
-		n := rng.Intn(64)
-		b := make([]byte, n)
-		rng.Read(b)
-		lzDecompress(b, out[:rng.Intn(len(out))])
+	b := append([]byte(nil), block...)
+	b[tagAt] = 7
+	binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], castagnoli))
+	if err := DecodeBlockInto(b, n, &Chunk{}); err == nil || !strings.Contains(err.Error(), "unknown column tag") {
+		t.Errorf("tag 0x07: DecodeBlock = %v, want the unknown-tag error", err)
 	}
 }

@@ -10,9 +10,10 @@ import (
 // FuzzDecodeChunk hardens the chunk-block decoder: any byte string
 // must either decode cleanly or return an error — never panic, and
 // never allocate beyond what the validated row count justifies (forged
-// lengths, dictionary sizes, Huffman tables and LZ4 streams are all
-// checked before memory moves). Anything that decodes must survive a
-// re-encode/re-decode round trip with identical columns.
+// lengths, dictionary sizes and Huffman tables are all checked before
+// memory moves, and tags of the retired delta/LZ4 format are refused).
+// Anything that decodes must survive a re-encode/re-decode round trip
+// with identical columns.
 //
 // Run with: go test -fuzz FuzzDecodeChunk ./internal/classify/
 func FuzzDecodeChunk(f *testing.F) {

@@ -38,6 +38,8 @@ func liveRigDataset(t *testing.T, seed int64) *Dataset {
 // SemiReferrer/SemiKeyword split of rows recovered by both heuristics
 // may differ; it is observable nowhere). Old-row flips must be reported
 // exactly: every settled row whose tracking bit changes, nothing else.
+// Trials alternate a wide store and a compressed store, whose sealed
+// chunks the propagation rounds read as encoded blocks.
 func TestLiveSemiMatchesBatchFixpoint(t *testing.T) {
 	for _, seed := range []int64{3, 17, 92} {
 		ref := liveRigDataset(t, seed)
@@ -46,8 +48,11 @@ func TestLiveSemiMatchesBatchFixpoint(t *testing.T) {
 		want := ref.Rows()
 
 		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 3; trial++ {
+		for trial := 0; trial < 4; trial++ {
 			st := NewMemStoreChunked(96)
+			if trial%2 == 1 {
+				st = NewMemStoreCompressed(96)
+			}
 			// The incremental engine reads only ds.FQDNs.Len(); sharing
 			// the reference interner (read-only here) keeps ids aligned.
 			live := &Dataset{FQDNs: ref.FQDNs, Start: start, Store: st}
@@ -107,5 +112,5 @@ func TestLiveSemiMatchesBatchFixpoint(t *testing.T) {
 // trackingAt reads one row's tracking bit from the resident class
 // column.
 func trackingAt(st Store, global int) bool {
-	return st.Classes(global/st.ChunkRows())[global%st.ChunkRows()].IsTracking()
+	return st.Classes(global / st.ChunkRows())[global%st.ChunkRows()].IsTracking()
 }

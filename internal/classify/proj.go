@@ -13,11 +13,11 @@ import (
 // for, in encoded form where that is profitable — RLE columns as
 // (value, run) pairs that aggregate arithmetically, dictionary columns
 // as the sorted dictionary plus the per-row id stream so predicates
-// translate once per chunk into id sets, wide values only for raw and
-// delta columns. Nothing is read or decoded until the first column
-// access, so a kernel that inspects the zone map or the resident class
-// column and declines the chunk skips the block fetch and every decode
-// entirely.
+// translate once per chunk into id sets, wide values only for raw
+// columns and for stores that keep chunks wide. Nothing is read or
+// decoded until the first column access, so a kernel that inspects the
+// zone map or the resident class column and declines the chunk skips
+// the block fetch and every decode entirely.
 
 // ColID names one of the nine spilled columns, in frame order.
 type ColID uint8
@@ -94,6 +94,29 @@ func (v *ColView) wideBuf(n int) []uint64 {
 	return v.Vals
 }
 
+// expand returns the column's n per-row values, filling Vals from the
+// runs or the dictionary ids when the view is not already wide.
+func (v *ColView) expand(n int) []uint64 {
+	switch v.Form {
+	case ViewRuns:
+		vals := v.wideBuf(n)
+		i := 0
+		for _, r := range v.Runs {
+			run := vals[i : i+r.Len]
+			for j := range run {
+				run[j] = r.Value
+			}
+			i += r.Len
+		}
+	case ViewDict:
+		vals := v.wideBuf(n)
+		for i, k := range v.Idx {
+			vals[i] = v.Dict[k]
+		}
+	}
+	return v.Vals
+}
+
 // BlockReader is the optional Store interface behind the projection
 // fast path: stores that keep chunks as framed codec blocks expose the
 // raw block so ProjChunk can decode single columns out of it.
@@ -104,11 +127,6 @@ type BlockReader interface {
 	// chunk i is resident wide (e.g. the open tail chunk) and must be
 	// loaded through Store.Chunk.
 	BlockBytes(i int, scratch *[]byte) ([]byte, error)
-	// HasEncodedBlocks reports whether the store holds encoded blocks
-	// at all. PushdownAuto enables the projection kernels exactly when
-	// this is true: on a fully wide store the projection path would
-	// copy columns a plain Scan reads in place.
-	HasEncodedBlocks() bool
 }
 
 // ZoneMapped is the optional Store interface for resident zone maps.
@@ -123,8 +141,6 @@ type ZoneMapped interface {
 var (
 	statChunksScanned atomic.Int64
 	statChunksSkipped atomic.Int64
-	statPushdownScans atomic.Int64
-	statFallbackScans atomic.Int64
 )
 
 // ScanStats is a snapshot of the process-wide projection-scan counters.
@@ -134,10 +150,6 @@ type ScanStats struct {
 	// loading a single column (zone-map or class-bitmap pruning).
 	ChunksScanned int64
 	ChunksSkipped int64
-	// PushdownScans and FallbackScans count kernel invocations that
-	// ran the projection path vs the decode-to-rows path.
-	PushdownScans int64
-	FallbackScans int64
 }
 
 // ReadScanStats returns the current counter values.
@@ -145,18 +157,6 @@ func ReadScanStats() ScanStats {
 	return ScanStats{
 		ChunksScanned: statChunksScanned.Load(),
 		ChunksSkipped: statChunksSkipped.Load(),
-		PushdownScans: statPushdownScans.Load(),
-		FallbackScans: statFallbackScans.Load(),
-	}
-}
-
-// CountPushdownScan records one kernel dispatch decision in the
-// process-wide counters.
-func CountPushdownScan(pushdown bool) {
-	if pushdown {
-		statPushdownScans.Add(1)
-	} else {
-		statFallbackScans.Add(1)
 	}
 }
 
@@ -341,7 +341,7 @@ func (pc *ProjChunk) Col(c ColID) *ColView {
 		pc.fetch()
 	}
 	if pc.block != nil {
-		if err := pc.codec().decodeColumnView(pc.pays[c], pc.tags[c], pc.rows, colWidths[c], v); err != nil {
+		if err := pc.codec().decodeColumn(pc.pays[c], pc.tags[c], pc.rows, colWidths[c], v); err != nil {
 			panic(fmt.Sprintf("classify: decode chunk %d column %d: %v", pc.ci, c, err))
 		}
 	} else {
@@ -394,7 +394,6 @@ func (pc *ProjChunk) viewFromWide(c ColID, v *ColView) {
 		}
 	}
 	v.Form = ViewWide
-	pc.widened |= 1 << c
 }
 
 // Wide returns column c as plain per-row values, expanding runs or
@@ -402,26 +401,11 @@ func (pc *ProjChunk) viewFromWide(c ColID, v *ColView) {
 // already wide — the late-materialization escape hatch.
 func (pc *ProjChunk) Wide(c ColID) []uint64 {
 	v := pc.Col(c)
-	if v.Form == ViewWide || pc.widened.Has(c) {
-		return v.Vals
+	if !pc.widened.Has(c) {
+		v.expand(pc.rows)
+		pc.widened |= 1 << c
 	}
-	vals := v.wideBuf(pc.rows)
-	switch v.Form {
-	case ViewRuns:
-		i := 0
-		for _, r := range v.Runs {
-			for j := 0; j < r.Len; j++ {
-				vals[i+j] = r.Value
-			}
-			i += r.Len
-		}
-	case ViewDict:
-		for i, k := range v.Idx {
-			vals[i] = v.Dict[k]
-		}
-	}
-	pc.widened |= 1 << c
-	return vals
+	return v.Vals
 }
 
 // Runs returns column c as maximal (value, run) pairs, coalescing from

@@ -382,11 +382,6 @@ func (st *MemStore) BlockBytes(i int, _ *[]byte) ([]byte, error) {
 	return nil, nil
 }
 
-// HasEncodedBlocks implements BlockReader. A wide MemStore reports
-// false: its chunks are resident full-width, so the projection path
-// would only add copies on top of what Scan reads in place.
-func (st *MemStore) HasEncodedBlocks() bool { return st.compress }
-
 // ZoneMap implements ZoneMapped. Wide stores and the open tail chunk
 // have none; blocks restored from pre-zone-map checkpoints may yield
 // nil entries.
@@ -414,12 +409,10 @@ type Footprint struct {
 
 // EncBreakdown is the per-scheme encoding census of a store's sealed
 // blocks: the column-rows (rows × columns) each scheme covers, the
-// framed bytes it produced, the column-rows that additionally went
-// through the LZ4 wrapper, and the bytes spent on zone-map sections.
+// framed bytes it produced, and the bytes spent on zone-map sections.
 type EncBreakdown struct {
 	SchemeRows   [numSchemes]int64
 	SchemeBytes  [numSchemes]int64
-	LZ4Rows      int64
 	ZoneMapBytes int64
 }
 
@@ -431,8 +424,6 @@ func SchemeName(s int) string {
 		return "raw"
 	case colRLE:
 		return "rle"
-	case colDelta:
-		return "delta"
 	case colDict:
 		return "dict"
 	case colDictHuff:
@@ -445,15 +436,11 @@ func SchemeName(s int) string {
 // addBlock folds one encoded block's column stats into the census.
 func (b *EncBreakdown) addBlock(rows int, tags [numCols]byte, sizes [numCols]int, zoneBytes int) {
 	for col, tag := range tags {
-		base := int(tag &^ colLZ4)
-		if base >= numSchemes {
+		if int(tag) >= numSchemes {
 			continue
 		}
-		b.SchemeRows[base] += int64(rows)
-		b.SchemeBytes[base] += int64(sizes[col])
-		if tag&colLZ4 != 0 {
-			b.LZ4Rows += int64(rows)
-		}
+		b.SchemeRows[tag] += int64(rows)
+		b.SchemeBytes[tag] += int64(sizes[col])
 	}
 	b.ZoneMapBytes += int64(zoneBytes)
 }
@@ -464,7 +451,6 @@ func (b *EncBreakdown) add(o EncBreakdown) {
 		b.SchemeRows[i] += o.SchemeRows[i]
 		b.SchemeBytes[i] += o.SchemeBytes[i]
 	}
-	b.LZ4Rows += o.LZ4Rows
 	b.ZoneMapBytes += o.ZoneMapBytes
 }
 

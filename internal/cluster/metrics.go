@@ -11,9 +11,8 @@ import (
 // metrics surface (same exposition format as the collector's /metrics):
 // registry membership by liveness state, cumulative liveness
 // transitions, fan-in re-merge count, and the process-wide projection
-// scan counters (chunks pruned by zone map, pushdown vs fallback
-// scans). fanin may be nil when the caller runs a registry without a
-// merge tier.
+// scan counters (chunks scanned, chunks pruned by zone map). fanin may
+// be nil when the caller runs a registry without a merge tier.
 func MetricsHandler(reg *Registry, fanin *Fanin) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -67,7 +66,5 @@ func MetricsHandler(reg *Registry, fanin *Fanin) http.Handler {
 		ss := classify.ReadScanStats()
 		counter("mergerd_scan_chunks_total", "Chunks offered to projection scan kernels.", ss.ChunksScanned)
 		counter("mergerd_scan_chunks_skipped_total", "Chunks pruned without loading a column (zone map / class bitmap).", ss.ChunksSkipped)
-		counter("mergerd_pushdown_scans_total", "Experiment scans served by the projection path.", ss.PushdownScans)
-		counter("mergerd_fallback_scans_total", "Experiment scans served by the decode-to-rows path.", ss.FallbackScans)
 	})
 }

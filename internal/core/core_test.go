@@ -232,7 +232,7 @@ func TestAnalyzeJoinsGeolocation(t *testing.T) {
 	svc := geo.Static{ServiceName: "s", Locations: map[netsim.IP]geo.Location{
 		1: {Country: "DE", Continent: geodata.EU28},
 	}}
-	a := Analyze(ds, svc, nil)
+	a := Analyze(ds, svc)
 	if a.Total() != 3 {
 		t.Errorf("total = %d (clean row must be excluded)", a.Total())
 	}
@@ -243,10 +243,13 @@ func TestAnalyzeJoinsGeolocation(t *testing.T) {
 	if flows != 2 || inC != 0 || inEU != 100 {
 		t.Errorf("confinement = %f %f flows=%d", inC, inEU, flows)
 	}
-	// Filter excludes everything.
-	a2 := Analyze(ds, svc, func(classify.Row) bool { return false })
-	if a2.Total() != 0 {
-		t.Error("filter must exclude all rows")
+	// The country restriction keeps every row of the one origin
+	// country and excludes everything for any other.
+	if !AnalyzeCountry(ds, svc, "GR").Equal(a) {
+		t.Error("AnalyzeCountry over the only origin country must equal Analyze")
+	}
+	if a2 := AnalyzeCountry(ds, svc, "DE"); a2.Total() != 0 {
+		t.Error("AnalyzeCountry must exclude rows of other origin countries")
 	}
 }
 
@@ -290,14 +293,14 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ResetTimer()
 	var a *Analysis
 	for i := 0; i < b.N; i++ {
-		a = Analyze(ds, svc, nil)
+		a = Analyze(ds, svc)
 	}
 	b.ReportMetric(float64(a.Total()), "flows")
 }
 
 // analyzeBenchSpill is analyzeBenchDataset's disk-backed sibling: the
 // same 200k-row shape streamed into a spill sink, so the benchmark
-// exercises the real pread + decode path the pushdown targets.
+// exercises the real pread + decode path the projection kernel reads.
 func analyzeBenchSpill(b *testing.B, rows int, compress bool) (*classify.Dataset, geo.Service) {
 	b.Helper()
 	ds, svc := analyzeBenchDataset(rows)
@@ -329,20 +332,17 @@ func analyzeBenchSpill(b *testing.B, rows int, compress bool) (*classify.Dataset
 	return ds, svc
 }
 
-// BenchmarkPushdownAnalyze pins the decode-free join against its two
-// baselines over the same compressed spill store: pushdown runs the
-// projection kernel (zone/class pruning, per-run country resolution,
-// per-distinct-IP geolocation), decode forces the decode-to-rows path
-// on the same store, and raw is the decode path over the uncompressed
-// spill file. The acceptance bar for this optimization is pushdown
-// >= 2x decode and >= raw.
+// BenchmarkPushdownAnalyze pins the projection join (zone/class
+// pruning, per-run country resolution, per-distinct-IP geolocation)
+// over a compressed spill store (pushdown) and over the uncompressed
+// spill file (raw), whose framed raw columns it reads one at a time.
 func BenchmarkPushdownAnalyze(b *testing.B) {
 	const rows = 200_000
 	run := func(b *testing.B, ds *classify.Dataset, svc geo.Service) {
 		b.ResetTimer()
 		var a *Analysis
 		for i := 0; i < b.N; i++ {
-			a = Analyze(ds, svc, nil)
+			a = Analyze(ds, svc)
 		}
 		b.ReportMetric(float64(a.Total()), "flows")
 	}
@@ -350,14 +350,8 @@ func BenchmarkPushdownAnalyze(b *testing.B) {
 		ds, svc := analyzeBenchSpill(b, rows, true)
 		run(b, ds, svc)
 	})
-	b.Run("decode", func(b *testing.B) {
-		ds, svc := analyzeBenchSpill(b, rows, true)
-		ds.Pushdown = classify.PushdownOff
-		run(b, ds, svc)
-	})
 	b.Run("raw", func(b *testing.B) {
 		ds, svc := analyzeBenchSpill(b, rows, false)
-		ds.Pushdown = classify.PushdownOff
 		run(b, ds, svc)
 	})
 }

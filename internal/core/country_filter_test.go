@@ -44,45 +44,28 @@ func countryFilterDataset(t *testing.T) (*classify.Dataset, geo.Service) {
 	return ds, geo.Static{ServiceName: "test", Locations: locs}
 }
 
-// TestAnalyzeWhereCountryEquality pins the pruned projection path to
-// the row path: for every country (including one the dataset never
-// saw), the zone-map-pruned kernel must produce exactly the analysis
-// the opaque row filter produces, under both pushdown modes.
+// TestAnalyzeWhereCountryEquality pins the zone-map-pruned country
+// scan to a plain row loop: for every country (including one the
+// dataset never saw), AnalyzeCountry must produce exactly the analysis
+// of joining each tracking row of that origin country through EachRow.
 func TestAnalyzeWhereCountryEquality(t *testing.T) {
 	ds, svc := countryFilterDataset(t)
-	for _, mode := range []classify.PushdownMode{classify.PushdownOn, classify.PushdownOff} {
-		ds.Pushdown = mode
-		for _, c := range []geodata.Country{"DE", "ES", "GR", "US", "FR"} {
-			c := c
-			got := AnalyzeWhere(ds, svc, CountryEquals(c))
-			want := Analyze(ds, svc, func(r classify.Row) bool {
-				return ds.Countries[r.Country] == c
-			})
-			if !got.Equal(want) {
-				t.Errorf("mode=%v country=%s: pruned path disagrees with row path (got %d flows, want %d)",
-					mode, c, got.Total(), want.Total())
+	for _, c := range []geodata.Country{"DE", "ES", "GR", "US", "FR"} {
+		want := NewAnalysis()
+		ds.EachRow(func(_ int, r classify.Row) {
+			if !r.Class.IsTracking() || ds.Countries[r.Country] != c {
+				return
 			}
+			if loc, ok := svc.Locate(r.IP); ok {
+				want.Add(c, loc.Country, 1)
+			} else {
+				want.AddUnknown(1)
+			}
+		})
+		if got := AnalyzeCountry(ds, svc, c); !got.Equal(want) {
+			t.Errorf("country=%s: pruned scan disagrees with the row loop (got %d flows, want %d)",
+				c, got.Total(), want.Total())
 		}
-	}
-}
-
-// TestAnalyzeWhereOpaqueRowPredicate: an opaque Row predicate (alone or
-// combined with EqCountry) must behave exactly like Analyze's filter.
-func TestAnalyzeWhereOpaqueRowPredicate(t *testing.T) {
-	ds, svc := countryFilterDataset(t)
-	ds.Pushdown = classify.PushdownOn
-	evenIP := func(r classify.Row) bool { return r.IP%2 == 0 }
-	got := AnalyzeWhere(ds, svc, Predicate{Row: evenIP})
-	want := Analyze(ds, svc, evenIP)
-	if !got.Equal(want) {
-		t.Error("Row-only predicate disagrees with Analyze filter")
-	}
-	combined := AnalyzeWhere(ds, svc, Predicate{Row: evenIP, EqCountry: "ES"})
-	wantBoth := Analyze(ds, svc, func(r classify.Row) bool {
-		return ds.Countries[r.Country] == "ES" && evenIP(r)
-	})
-	if !combined.Equal(wantBoth) {
-		t.Error("EqCountry+Row predicate disagrees with combined row filter")
 	}
 }
 
@@ -90,7 +73,7 @@ func TestAnalyzeWhereOpaqueRowPredicate(t *testing.T) {
 // dataset's interned table returns the empty analysis without scanning.
 func TestAnalyzeWhereUnknownCountryEmpty(t *testing.T) {
 	ds, svc := countryFilterDataset(t)
-	a := AnalyzeWhere(ds, svc, CountryEquals("JP"))
+	a := AnalyzeCountry(ds, svc, "JP")
 	if a.Total() != 0 || a.Unknown() != 0 {
 		t.Errorf("unknown country: total=%d unknown=%d, want empty", a.Total(), a.Unknown())
 	}

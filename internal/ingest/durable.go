@@ -471,6 +471,9 @@ func decodeCheckpoint(data []byte) (*ckptMeta, [][]byte, [][]classify.Class, err
 		}
 		cls := make([]classify.Class, rows)
 		for i := 0; i < rows; i++ {
+			if rest[i] >= classify.NumClasses {
+				return nil, nil, nil, fmt.Errorf("%w: chunk %d row %d has class byte %d", errCkptCorrupt, ci, i, rest[i])
+			}
 			cls[i] = classify.Class(rest[i])
 		}
 		classes = append(classes, cls)
@@ -483,7 +486,37 @@ func decodeCheckpoint(data []byte) (*ckptMeta, [][]byte, [][]classify.Class, err
 	if total != meta.Rows {
 		return nil, nil, nil, fmt.Errorf("%w: chunk lengths sum to %d, meta says %d rows", errCkptCorrupt, total, meta.Rows)
 	}
+	for i := 1; i < len(meta.Users); i++ {
+		if meta.Users[i] <= meta.Users[i-1] {
+			return nil, nil, nil, fmt.Errorf("%w: users not strictly ascending at user %d", errCkptCorrupt, meta.Users[i])
+		}
+	}
+	for _, a := range []analysisState{meta.Truth, meta.IPMap, meta.MaxMind} {
+		if a.Unknown < 0 {
+			return nil, nil, nil, fmt.Errorf("%w: negative unknown-flow count %d", errCkptCorrupt, a.Unknown)
+		}
+		for _, f := range a.Flows {
+			if f.N < 0 {
+				return nil, nil, nil, fmt.Errorf("%w: negative flow count %d for %s->%s", errCkptCorrupt, f.N, f.Src, f.Dst)
+			}
+		}
+	}
 	return &meta, blocks, classes, nil
+}
+
+// checkChunkIDs checks that every row of a decoded chunk names FQDN,
+// RefFQDN, Country and Publisher ids inside tables of the given sizes.
+// A valid CRC only proves the bytes are the ones that were signed, so
+// restore and merge run it on every chunk they take in: a chunk whose
+// ids overrun its tables is refused before any query indexes them.
+func checkChunkIDs(c *classify.Chunk, fqdns, countries, publishers int) error {
+	for i := range c.FQDN {
+		if int(c.FQDN[i]) >= fqdns || int(c.RefFQDN[i]) >= fqdns || int(c.Country[i]) >= countries ||
+			c.Publisher[i] < 0 || int(c.Publisher[i]) >= publishers {
+			return fmt.Errorf("row %d has out-of-table ids", i)
+		}
+	}
+	return nil
 }
 
 // restoreCheckpoint rebuilds the collector's committed state from a
@@ -509,9 +542,18 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	default:
 		sink = classify.NewMemStoreChunked(meta.ChunkRows)
 	}
+	buf := classify.GetChunk()
+	defer classify.PutChunk(buf)
 	for ci := range blocks {
 		if err := sink.RestoreChunk(blocks[ci], classes[ci]); err != nil {
 			return err
+		}
+		ch, err := sink.Chunk(ci, buf)
+		if err != nil {
+			return err
+		}
+		if err := checkChunkIDs(ch, len(meta.FQDNs), len(meta.Countries), len(meta.Publishers)); err != nil {
+			return fmt.Errorf("checkpoint chunk %d: %w", ci, err)
 		}
 	}
 

@@ -135,13 +135,12 @@ func MergeExports(world *scenario.Scenario, exports []*ShardExport, workers int)
 			if err := classify.DecodeBlockInto(ex.blocks[ci], rows, buf); err != nil {
 				return nil, fmt.Errorf("ingest: shard %d chunk %d: %w", si, ci, err)
 			}
+			if err := checkChunkIDs(buf, len(fmap), len(cmap), len(pmap)); err != nil {
+				return nil, fmt.Errorf("ingest: shard %d chunk %d: %w", si, ci, err)
+			}
 			buf.Class = ex.classes[ci]
 			for i := 0; i < rows; i++ {
 				r := buf.Row(i)
-				if int(r.FQDN) >= len(fmap) || int(r.RefFQDN) >= len(fmap) ||
-					int(r.Country) >= len(cmap) || int(r.Publisher) < 0 || int(r.Publisher) >= len(pmap) {
-					return nil, fmt.Errorf("ingest: shard %d chunk %d row %d has out-of-table ids", si, ci, i)
-				}
 				r.FQDN, r.RefFQDN = fmap[r.FQDN], fmap[r.RefFQDN]
 				r.Country, r.Publisher = cmap[r.Country], pmap[r.Publisher]
 				wasTracking = append(wasTracking, r.Class.IsTracking())

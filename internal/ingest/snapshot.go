@@ -34,7 +34,6 @@ type snapStore struct {
 	classes   [][]classify.Class
 	zones     []*classify.ZoneMap
 	fp        classify.Footprint
-	hasBlocks bool
 	chunkRows int
 	n         int
 }
@@ -68,7 +67,7 @@ func (st *snapStore) Chunk(i int, buf *classify.Chunk) (*classify.Chunk, error) 
 func (st *snapStore) Classes(i int) []classify.Class { return st.classes[i] }
 
 // ScanCols implements classify.Store through the shared projection
-// driver, so snapshot queries run the decode-free kernels over the
+// driver, so snapshot queries run the projection kernels over the
 // very blocks the live store sealed.
 func (st *snapStore) ScanCols(cols classify.ColSet, fn func(base int, pc *classify.ProjChunk)) {
 	classify.ScanStoreCols(st, cols, fn)
@@ -79,9 +78,6 @@ func (st *snapStore) ScanCols(cols classify.ColSet, fn func(base int, pc *classi
 func (st *snapStore) BlockBytes(i int, _ *[]byte) ([]byte, error) {
 	return st.chunks[i].block, nil
 }
-
-// HasEncodedBlocks implements classify.BlockReader.
-func (st *snapStore) HasEncodedBlocks() bool { return st.hasBlocks }
 
 // ZoneMap implements classify.ZoneMapped.
 func (st *snapStore) ZoneMap(i int) *classify.ZoneMap {
@@ -135,11 +131,9 @@ type StoreFootprint struct {
 	LastCheckpointError string `json:"last_checkpoint_error,omitempty"`
 	// Per-column-encoding census of the sealed blocks: which schemes
 	// cover how many column-rows and at what encoded cost, plus the
-	// bytes spent on zone-map sections and the column-rows whose
-	// payload additionally went through the LZ4 wrapper.
-	PerScheme     []SchemeFootprint `json:"per_scheme,omitempty"`
-	LZ4ColumnRows int64             `json:"lz4_column_rows,omitempty"`
-	ZoneMapBytes  int64             `json:"zone_map_bytes,omitempty"`
+	// bytes spent on zone-map sections.
+	PerScheme    []SchemeFootprint `json:"per_scheme,omitempty"`
+	ZoneMapBytes int64             `json:"zone_map_bytes,omitempty"`
 }
 
 // SchemeFootprint is one encoding scheme's share of the sealed blocks.
@@ -158,7 +152,6 @@ func footprintOf(st classify.Store) StoreFootprint {
 		ResidentBytes:      fp.ResidentBytes,
 		CompressedBytes:    fp.CompressedBytes,
 		RawEquivalentBytes: fp.RawEquivalentBytes(),
-		LZ4ColumnRows:      fp.Breakdown.LZ4Rows,
 		ZoneMapBytes:       fp.Breakdown.ZoneMapBytes,
 	}
 	for s, rows := range fp.Breakdown.SchemeRows {
@@ -296,7 +289,7 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 	ds := &classify.Dataset{
 		Store: &snapStore{
 			chunks: chunks, classes: classes, zones: zones,
-			fp: st.Footprint(), hasBlocks: sealed > 0,
+			fp:        st.Footprint(),
 			chunkRows: chunkRows, n: st.Len(),
 		},
 		FQDNs:      c.internClone,

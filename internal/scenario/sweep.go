@@ -25,7 +25,7 @@ type Summary struct {
 	Accuracy classify.Accuracy     `json:"accuracy"`
 
 	// Flows/UnknownFlows come from the ground-truth geolocation join
-	// over tracking rows (core.Analyze with a nil filter).
+	// over tracking rows (core.Analyze).
 	Flows        int64 `json:"flows"`
 	UnknownFlows int64 `json:"unknown_flows"`
 
@@ -39,8 +39,8 @@ type Summary struct {
 	TrackingFQDNs int `json:"tracking_fqdns"`
 
 	// CountryFlows counts truth-joined tracking flows per origin
-	// country, computed with the zone-map-pruned country-equality
-	// pushdown (core.AnalyzeWhere) — one pruned scan per country.
+	// country, computed with the zone-map-pruned country scan
+	// (core.AnalyzeCountry) — one pruned scan per country.
 	CountryFlows map[geodata.Country]int64 `json:"country_flows"`
 }
 
@@ -61,12 +61,12 @@ func Summarize(s *Scenario) Summary {
 		TrackingFQDNs: s.Inventory.NumTrackingFQDNs(),
 		CountryFlows:  make(map[geodata.Country]int64),
 	}
-	a := core.Analyze(s.Dataset, s.Truth, nil)
+	a := core.Analyze(s.Dataset, s.Truth)
 	sum.Flows = a.Total()
 	sum.UnknownFlows = a.Unknown()
 	sum.InCountry, sum.InEU28, sum.InEurope, _ = a.RegionConfinement(core.EU28Origin)
 	for _, c := range s.Dataset.Countries {
-		per := core.AnalyzeWhere(s.Dataset, s.Truth, core.CountryEquals(c))
+		per := core.AnalyzeCountry(s.Dataset, s.Truth, c)
 		if n := per.Total(); n > 0 {
 			sum.CountryFlows[c] = n
 		}
