@@ -16,7 +16,10 @@
 //     validity windows (internal/pdns, internal/trackerdb);
 //   - three geolocation services — ground truth, commercial databases
 //     with legal-entity HQ bias, and a RIPE IPmap-style active
-//     geolocator (internal/geo);
+//     geolocator (internal/geo). The IPmap model runs on dense country
+//     ids over a country-pair distance table that internal/geodata
+//     builds once at init; its estimates are the same, byte for byte,
+//     as evaluating a haversine per probe and candidate;
 //   - the border-crossing analysis itself (internal/core), the §5
 //     localization what-ifs (internal/locality), the §6 sensitive-category
 //     tracing (internal/sensitive), and the §7 ISP NetFlow scale-up

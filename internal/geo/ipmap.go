@@ -64,29 +64,67 @@ type IPMap struct {
 	mu    sync.Mutex
 	cache map[netsim.IP]Location
 
-	candidates      []geodata.Country
-	probesByCountry map[geodata.Country][]int
+	candidates []geodata.Country // every country, by geodata dense id
+	// probeCountry is each mesh probe's dense country id, -1 when the
+	// country is unknown to geodata.
+	probeCountry []int32
+	// meshByCountry lists each country's mesh indices in mesh order,
+	// by dense id.
+	meshByCountry [][]int32
+	// pools is the phase-2 refinement pool of each coarse country, by
+	// dense id; nil means the whole mesh.
+	pools [][]poolSpan
 }
+
+// poolSpan is one country's share of a refinement pool: the pool
+// positions from the previous span's end up to end are the country's
+// probes, in mesh order.
+type poolSpan struct{ country, end int32 }
 
 // NewIPMap builds the active geolocator over the world's ground truth.
 func NewIPMap(w *netsim.World, mesh *ProbeMesh) *IPMap {
-	var cands []geodata.Country
-	for _, c := range geodata.AllCountries() {
-		cands = append(cands, c.Code)
+	all := geodata.AllCountries()
+	m := &IPMap{
+		World:          w,
+		Mesh:           mesh,
+		ProbesPerQuery: 100,
+		Seed:           42,
+		cache:          make(map[netsim.IP]Location),
+		candidates:     make([]geodata.Country, len(all)),
+		probeCountry:   make([]int32, len(mesh.Probes)),
+		meshByCountry:  make([][]int32, len(all)),
+		pools:          make([][]poolSpan, len(all)),
 	}
-	byCountry := make(map[geodata.Country][]int)
+	for i, c := range all {
+		m.candidates[i] = c.Code
+	}
 	for i, p := range mesh.Probes {
-		byCountry[p.Country] = append(byCountry[p.Country], i)
+		c, ok := geodata.Index(p.Country)
+		if !ok {
+			m.probeCountry[i] = -1
+			continue
+		}
+		m.probeCountry[i] = int32(c)
+		m.meshByCountry[c] = append(m.meshByCountry[c], int32(i))
 	}
-	return &IPMap{
-		World:           w,
-		Mesh:            mesh,
-		ProbesPerQuery:  100,
-		Seed:            42,
-		cache:           make(map[netsim.IP]Location),
-		candidates:      cands,
-		probesByCountry: byCountry,
+	// IPmap tasks probes near the presumed location: the countries within
+	// 2500 km of the coarse country, in candidate order; a region with
+	// fewer than 20 probes falls back to the whole mesh.
+	for coarse := range all {
+		row := geodata.DistanceRow(coarse)
+		var spans []poolSpan
+		end := 0
+		for c, probes := range m.meshByCountry {
+			if d := row[c]; d >= 0 && d <= 2500 && len(probes) > 0 {
+				end += len(probes)
+				spans = append(spans, poolSpan{int32(c), int32(end)})
+			}
+		}
+		if end >= 20 {
+			m.pools[coarse] = spans
+		}
 	}
+	return m
 }
 
 // Name implements Service.
@@ -149,63 +187,103 @@ func (m *IPMap) votes(ip netsim.IP, truth geodata.Country) []Vote {
 	if k <= 0 {
 		k = 100
 	}
+	to, ok := geodata.Index(truth)
+	if !ok {
+		to = -1
+	}
+	probes := m.Mesh.Probes
 
 	// Phase 1 — coarse localization: a couple dozen random probes
 	// measure; the country of the minimum-RTT probe anchors the region.
-	coarse := truth // fallback, only when mesh is empty
+	coarse := to // fallback, only when mesh is empty
 	bestRTT := -1.0
-	for i := 0; i < 25 && len(m.Mesh.Probes) > 0; i++ {
-		p := m.Mesh.Probes[rng.Intn(len(m.Mesh.Probes))]
-		rtt := m.minRTT(rng, p.Country, truth)
+	for i := 0; i < 25 && len(probes) > 0; i++ {
+		p := rng.Intn(len(probes))
+		rtt := m.minRTT(rng, m.distance(p, to))
 		if bestRTT < 0 || rtt < bestRTT {
-			coarse, bestRTT = p.Country, rtt
+			coarse, bestRTT = int(m.probeCountry[p]), rtt
 		}
 	}
 
-	// Phase 2 — refinement: IPmap tasks probes near the presumed
-	// location. Sample k probes from countries within 2500 km of the
-	// coarse country; fall back to the whole mesh if the region is sparse.
-	var regional []int
-	for _, c := range m.candidates { // candidate order is deterministic
-		if d := geodata.DistanceKm(c, coarse); d >= 0 && d <= 2500 {
-			regional = append(regional, m.probesByCountry[c]...)
-		}
-	}
-	if len(regional) < 20 {
-		regional = regional[:0]
-		for i := range m.Mesh.Probes {
-			regional = append(regional, i)
-		}
+	// Phase 2 — refinement: sample k probes from the coarse country's
+	// pool (see NewIPMap).
+	var pool []poolSpan
+	size := len(probes)
+	if coarse >= 0 && m.pools[coarse] != nil {
+		pool = m.pools[coarse]
+		size = int(pool[len(pool)-1].end)
 	}
 	votes := make([]Vote, 0, k)
 	for i := 0; i < k; i++ {
-		p := m.Mesh.Probes[regional[rng.Intn(len(regional))]]
-		rtt := m.minRTT(rng, p.Country, truth)
-		votes = append(votes, Vote{Probe: p, RTTms: rtt, Estimate: m.estimate(p, rtt)})
+		p := m.poolProbe(pool, rng.Intn(size))
+		rtt := m.minRTT(rng, m.distance(p, to))
+		votes = append(votes, Vote{Probe: probes[p], RTTms: rtt, Estimate: m.estimate(p, rtt)})
 	}
 	return votes
 }
 
-// minRTT is a probe's measurement: the minimum of three pings, the
-// standard way active geolocation suppresses queueing jitter.
-func (m *IPMap) minRTT(rng *rand.Rand, from, to geodata.Country) float64 {
-	best := m.RTT.Measure(rng, from, to)
+// poolProbe resolves a position in a refinement pool to a mesh index; a
+// nil pool is the whole mesh.
+func (m *IPMap) poolProbe(pool []poolSpan, pos int) int {
+	start := 0
+	for _, s := range pool {
+		if pos < int(s.end) {
+			return int(m.meshByCountry[s.country][pos-start])
+		}
+		start = int(s.end)
+	}
+	return pos
+}
+
+// noDistances stands in for the distance row of a probe whose country
+// geodata does not know: every distance is unknown (-1).
+var noDistances = func() []float64 {
+	row := make([]float64, len(geodata.AllCountries()))
+	for i := range row {
+		row[i] = -1
+	}
+	return row
+}()
+
+// distanceRow is mesh probe p's row of the country-pair distance table.
+func (m *IPMap) distanceRow(p int) []float64 {
+	if c := m.probeCountry[p]; c >= 0 {
+		return geodata.DistanceRow(int(c))
+	}
+	return noDistances
+}
+
+// distance is mesh probe p's distance to the country with dense id to, or
+// -1 if either country is unknown, as geodata.DistanceKm reports it.
+func (m *IPMap) distance(p, to int) float64 {
+	if to < 0 {
+		return -1
+	}
+	return m.distanceRow(p)[to]
+}
+
+// minRTT is a probe's measurement over distance d: the minimum of three
+// pings, the standard way active geolocation suppresses queueing jitter.
+func (m *IPMap) minRTT(rng *rand.Rand, d float64) float64 {
+	best := m.RTT.MeasureKm(rng, d)
 	for i := 0; i < 2; i++ {
-		if r := m.RTT.Measure(rng, from, to); r < best {
+		if r := m.RTT.MeasureKm(rng, d); r < best {
 			best = r
 		}
 	}
 	return best
 }
 
-// estimate implements one probe's reasoning: among candidate countries
+// estimate implements mesh probe p's reasoning: among candidate countries
 // whose speed-of-light minimum does not exceed the measured RTT, pick the
 // one whose expected RTT best matches the measurement.
-func (m *IPMap) estimate(p Probe, rttMs float64) geodata.Country {
-	best := p.Country
+func (m *IPMap) estimate(p int, rttMs float64) geodata.Country {
+	best := m.Mesh.Probes[p].Country
 	bestErr := -1.0
-	for _, cand := range m.candidates {
-		minPossible := m.RTT.MinPossible(p.Country, cand)
+	for cand, d := range m.distanceRow(p) {
+		// MinRTTms of an unknown (-1) distance is 0, as in
+		// RTTModel.MinPossible.
+		minPossible := geodata.MinRTTms(d)
 		if minPossible > rttMs {
 			continue // physically impossible, candidate excluded
 		}
@@ -217,7 +295,7 @@ func (m *IPMap) estimate(p Probe, rttMs float64) geodata.Country {
 			err = -err
 		}
 		if bestErr < 0 || err < bestErr {
-			best, bestErr = cand, err
+			best, bestErr = m.candidates[cand], err
 		}
 	}
 	return best

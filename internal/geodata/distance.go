@@ -18,6 +18,28 @@ func HaversineKm(lat1, lon1, lat2, lon2 float64) float64 {
 	return 2 * earthRadiusKm * math.Atan2(math.Sqrt(a), math.Sqrt(1-a))
 }
 
+// distances is the great-circle distance between every pair of countries'
+// reference cities, row-major by dense id: entry i*len(countries)+j is
+// HaversineKm from country i to country j.
+var distances []float64
+
+func buildDistances() {
+	n := len(countries)
+	distances = make([]float64, n*n)
+	for i, a := range countries {
+		for j, b := range countries {
+			distances[i*n+j] = HaversineKm(a.Lat, a.Lon, b.Lat, b.Lon)
+		}
+	}
+}
+
+// DistanceRow returns the distances from the country with dense id i to
+// every country, indexed by dense id. The row is shared; do not modify it.
+func DistanceRow(i int) []float64 {
+	n := len(countries)
+	return distances[i*n : (i+1)*n : (i+1)*n]
+}
+
 // DistanceKm returns the great-circle distance between two countries'
 // reference cities, or -1 if either country is unknown.
 func DistanceKm(a, b Country) float64 {
@@ -29,7 +51,7 @@ func DistanceKm(a, b Country) float64 {
 	if !ok {
 		return -1
 	}
-	return HaversineKm(ia.Lat, ia.Lon, ib.Lat, ib.Lon)
+	return distances[ia*len(countries)+ib]
 }
 
 // MinRTTms returns the physically minimal round-trip time in milliseconds

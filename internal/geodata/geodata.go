@@ -148,27 +148,38 @@ var countries = []Info{
 	{"NZ", "New Zealand", Oceania, -36.85, 174.76, 10},
 }
 
-var byCode map[Country]Info
+// byCode maps a country code to its position in countries, which is also
+// its dense id (see Index).
+var byCode map[Country]int
 
 func init() {
-	byCode = make(map[Country]Info, len(countries))
-	for _, c := range countries {
+	byCode = make(map[Country]int, len(countries))
+	for i, c := range countries {
 		if _, dup := byCode[c.Code]; dup {
 			panic("geodata: duplicate country " + string(c.Code))
 		}
-		byCode[c.Code] = c
+		byCode[c.Code] = i
 	}
+	buildDistances()
+}
+
+// Index returns the country's dense id: its position in AllCountries.
+func Index(code Country) (int, bool) {
+	i, ok := byCode[code]
+	return i, ok
 }
 
 // Lookup returns the reference data for a country code.
 func Lookup(code Country) (Info, bool) {
-	info, ok := byCode[code]
-	return info, ok
+	if i, ok := byCode[code]; ok {
+		return countries[i], true
+	}
+	return Info{}, false
 }
 
 // Name returns the country's display name, or the code itself if unknown.
 func Name(code Country) string {
-	if info, ok := byCode[code]; ok {
+	if info, ok := Lookup(code); ok {
 		return info.Name
 	}
 	return string(code)
@@ -176,7 +187,7 @@ func Name(code Country) string {
 
 // ContinentOf returns the region a country belongs to.
 func ContinentOf(code Country) Continent {
-	if info, ok := byCode[code]; ok {
+	if info, ok := Lookup(code); ok {
 		return info.Continent
 	}
 	return ContinentUnknown
@@ -207,7 +218,7 @@ func EU28Countries() []Info {
 // InfraDensity returns the IT-infrastructure density index for a country,
 // or zero if unknown.
 func InfraDensity(code Country) int {
-	if info, ok := byCode[code]; ok {
+	if info, ok := Lookup(code); ok {
 		return info.InfraDensity
 	}
 	return 0

@@ -135,6 +135,39 @@ func TestHaversineProperties(t *testing.T) {
 	}
 }
 
+func TestDistanceTable(t *testing.T) {
+	all := AllCountries()
+	for i, a := range all {
+		if got, ok := Index(a.Code); !ok || got != i {
+			t.Fatalf("Index(%s) = %d, %v; want %d (AllCountries order)", a.Code, got, ok, i)
+		}
+		row := DistanceRow(i)
+		if len(row) != len(all) {
+			t.Fatalf("DistanceRow(%d) has %d entries, want %d", i, len(row), len(all))
+		}
+		for j, b := range all {
+			want := HaversineKm(a.Lat, a.Lon, b.Lat, b.Lon)
+			if math.Float64bits(row[j]) != math.Float64bits(want) {
+				t.Errorf("table[%s][%s] = %v, want HaversineKm %v", a.Code, b.Code, row[j], want)
+			}
+			if math.Float64bits(row[j]) != math.Float64bits(DistanceRow(j)[i]) {
+				t.Errorf("table[%s][%s] = %v != table[%s][%s] = %v", a.Code, b.Code, row[j], b.Code, a.Code, DistanceRow(j)[i])
+			}
+			if got := DistanceKm(a.Code, b.Code); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("DistanceKm(%s, %s) = %v, want %v", a.Code, b.Code, got, want)
+			}
+		}
+	}
+	if _, ok := Index("XX"); ok {
+		t.Error("Index(XX) found, want missing")
+	}
+	for _, pair := range [][2]Country{{"XX", "DE"}, {"DE", "XX"}, {"XX", "XX"}} {
+		if d := DistanceKm(pair[0], pair[1]); d != -1 {
+			t.Errorf("DistanceKm(%s, %s) = %v, want -1", pair[0], pair[1], d)
+		}
+	}
+}
+
 func TestMinRTT(t *testing.T) {
 	if got := MinRTTms(1000); got != 10 {
 		t.Errorf("MinRTTms(1000) = %f, want 10", got)

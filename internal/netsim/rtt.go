@@ -49,10 +49,15 @@ func (m RTTModel) stretch() float64 {
 // rng supplies the jitter; results are always >= the physical minimum for
 // the distance.
 func (m RTTModel) Measure(rng *rand.Rand, from, to geodata.Country) float64 {
-	d := geodata.DistanceKm(from, to)
+	return m.MeasureKm(rng, geodata.DistanceKm(from, to))
+}
+
+// MeasureKm is Measure over an already-known great-circle distance, as
+// geodata.DistanceKm reports it: a negative distance (unknown country)
+// behaves like an intercontinental path so the geolocator cannot
+// accidentally "confirm" a bogus location.
+func (m RTTModel) MeasureKm(rng *rand.Rand, d float64) float64 {
 	if d < 0 {
-		// Unknown country: behave like an intercontinental path so the
-		// geolocator cannot accidentally "confirm" a bogus location.
 		d = 9000
 	}
 	base := geodata.MinRTTms(d) * m.stretch()
