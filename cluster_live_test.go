@@ -45,7 +45,7 @@ func TestClusterReplayGoldenParity(t *testing.T) {
 	events := ingest.RecordSimulation(world, visits, 3)
 
 	// Eight in-process collectors with deliberately varied configs —
-	// epoch cadence, chunk size, compression, worker count all differ
+	// epoch cadence, chunk size, worker count all differ
 	// per shard, and none of it may leak into the merged artifacts.
 	nodes := make([]string, nShard)
 	shards := make(map[string]*ingest.Collector, nShard)
@@ -55,9 +55,6 @@ func TestClusterReplayGoldenParity(t *testing.T) {
 		node := string(rune('a'+i)) + "-shard"
 		nodes[i] = node
 		cfg := ingest.Config{EpochEvents: 977 + 331*i, Workers: 1 + i%3, ChunkRows: 256 << (i % 3)}
-		if i%2 == 1 {
-			cfg.Compress = true
-		}
 		c := ingest.NewCollector(world, cfg)
 		defer c.Close()
 		srv := httptest.NewServer(ingest.NewServer(c))

@@ -22,7 +22,10 @@
 // shards, merged into the columnar store, the semi-stage fixpoint
 // extends incrementally, and the flow-map/stats aggregates advance by
 // the epoch's delta. Queries read immutable epoch snapshots and never
-// block ingestion.
+// block ingestion. The live store keeps every full chunk as a
+// compressed codec block, encoded once when it fills: cold epochs do not
+// pay full-width memory, and snapshots, checkpoints and /v1/snapshot
+// exports share the sealed blocks instead of re-encoding them.
 //
 // With -data the daemon is durable: accepted batches journal to a
 // write-ahead log under the data dir (fsync policy via -wal-sync),
@@ -83,7 +86,6 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "population scale; must match the uploading clients")
 	epoch := flag.Int("epoch", 1<<15, "events per epoch commit")
 	workers := flag.Int("workers", 0, "classification/fixpoint workers (0 = GOMAXPROCS)")
-	compress := flag.Bool("compress", false, "keep sealed chunks of the live store compressed (cold epochs stop paying full-width memory; served artifacts are identical)")
 	data := flag.String("data", "", "durability directory (WAL + checkpoints); empty = memory-only")
 	walSync := flag.String("wal-sync", "interval", "WAL fsync policy: always | interval | none")
 	walSyncEvery := flag.Duration("wal-sync-interval", 100*time.Millisecond, "background fsync cadence under -wal-sync=interval")
@@ -120,7 +122,7 @@ func main() {
 		time.Since(start).Round(time.Millisecond), len(world.Users), len(world.Graph.Publishers))
 
 	c := ingest.NewCollector(world, ingest.Config{
-		EpochEvents: *epoch, Workers: *workers, Compress: *compress,
+		EpochEvents: *epoch, Workers: *workers,
 		DataDir: *data, WALSync: *walSync,
 		WALSyncInterval: *walSyncEvery, WALSegmentBytes: *walSegment,
 		CheckpointBytes: *ckptBytes,

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	reproduce [-scale 0.25] [-seed 1] [-visits 219] [-workers 0]
-//	          [-diskstore] [-compress auto|on|off]
+//	          [-diskstore]
 //	          [-pack routing] [-only fig7,table8] [-json|-csv] [-progress]
 //	reproduce -list
 //	reproduce -list-packs
@@ -16,12 +16,11 @@
 // the output to the machine-readable artifact encodings. -diskstore
 // spills the dataset's column chunks to a temp file instead of holding
 // them in memory — the backend for scales far beyond 1.0 — and changes
-// no output byte. -compress overrides the per-chunk column codec
-// (default: on for the disk store, off in memory); like the store
-// choice it never changes the output. Every store runs the same
-// projection-scan experiment kernels, which read only the columns they
-// need, in encoded form where the store keeps chunks encoded. Ctrl-C
-// cancels the build cleanly mid-phase.
+// no output byte. The disk store writes each chunk as a compressed
+// codec block; the in-memory store keeps its columns wide. Both run the
+// same projection-scan experiment kernels, which read only the columns
+// they need, in encoded form where the store keeps chunks encoded.
+// Ctrl-C cancels the build cleanly mid-phase.
 //
 // At -scale 1 the run simulates the paper's full 7M-request study and
 // takes on the order of a minute; smaller scales keep every shape and
@@ -47,7 +46,6 @@ func main() {
 	visits := flag.Int("visits", 0, "mean page visits per user (0 = the paper's 219)")
 	workers := flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS; output is identical at any value)")
 	diskStore := flag.Bool("diskstore", false, "spill the dataset's row store to a temp file (identical output; bounds memory at large -scale)")
-	compress := flag.String("compress", "auto", "row-store chunk codec: auto (on for -diskstore, off in memory), on, or off; identical output either way")
 	only := flag.String("only", "", "comma-separated experiment ids to render (e.g. fig7,table8; case-insensitive); empty = all")
 	packName := flag.String("pack", "", "scenario pack to apply (see -list-packs; empty or \"default\" = the unmodified study)")
 	listPacks := flag.Bool("list-packs", false, "print the registered scenario packs and exit")
@@ -119,16 +117,6 @@ func main() {
 	}
 	if *diskStore {
 		opts = append(opts, crossborder.WithRowStore(crossborder.DiskRowStore("")))
-	}
-	switch *compress {
-	case "auto":
-	case "on":
-		opts = append(opts, crossborder.WithCompression(true))
-	case "off":
-		opts = append(opts, crossborder.WithCompression(false))
-	default:
-		fmt.Fprintf(os.Stderr, "-compress must be auto, on or off (got %q)\n", *compress)
-		os.Exit(2)
 	}
 	if *progress {
 		opts = append(opts, crossborder.WithProgress(func(ev crossborder.PhaseEvent) {

@@ -1,7 +1,6 @@
 package crossborder_test
 
 import (
-	"context"
 	"testing"
 
 	"crossborder"
@@ -10,64 +9,26 @@ import (
 
 // TestCompressedStoresMatchGolden is the codec's study-level contract:
 // at the golden configuration (seed 1 / scale 0.05) the compressed
-// in-memory store, the compressed spill store and the raw spill store
-// must each render all 20 experiment artifacts to the committed golden
-// digests, and the compressed spill file must be at least 3x smaller
-// than the raw fixed-width column layout.
+// spill store must render all 20 experiment artifacts to the committed
+// golden digests, and its spill file must be at least 3x smaller than
+// the raw fixed-width column layout. The compressed in-memory store is
+// the live collector's, covered by the live and cluster replay parity
+// tests.
 func TestCompressedStoresMatchGolden(t *testing.T) {
-	for _, variant := range []struct {
-		name string
-		opts []crossborder.Option
-	}{
-		{"mem-compressed", []crossborder.Option{crossborder.WithCompression(true)}},
-		{"spill-compressed", []crossborder.Option{crossborder.WithRowStore(crossborder.DiskRowStore(""))}},
-		{"spill-raw", []crossborder.Option{
-			crossborder.WithRowStore(crossborder.DiskRowStore("")), crossborder.WithCompression(false)}},
-	} {
-		st := goldenStudy(t, variant.opts...)
-		checkGoldenDigests(t, variant.name, st.RenderAll())
-		if variant.name == "spill-compressed" {
-			sp, ok := st.Scenario().Dataset.Store.(*classify.SpillStore)
-			if !ok {
-				t.Fatalf("disk study is backed by %T, want *classify.SpillStore", st.Scenario().Dataset.Store)
-			}
-			raw, size := sp.RawSize(), sp.Size()
-			t.Logf("spill file: %d bytes for %d raw (%.2fx, %.2f B/row over %d rows)",
-				size, raw, float64(raw)/float64(size), float64(size)/float64(sp.Len()), sp.Len())
-			if size*3 > raw {
-				t.Errorf("spill compression ratio %.2fx is below the 3x floor (%d of %d raw bytes)",
-					float64(raw)/float64(size), size, raw)
-			}
-		}
-		if err := st.Close(); err != nil {
-			t.Errorf("%s: Close: %v", variant.name, err)
-		}
-	}
-}
-
-// TestCompressionOffForcesRawSpill pins the override direction the
-// golden test does not cover: WithCompression(false) on a disk store
-// keeps the byte-transparent layout (file size equals the raw
-// reference) and still renders the same study.
-func TestCompressionOffForcesRawSpill(t *testing.T) {
-	st, err := crossborder.New(context.Background(),
-		crossborder.WithSeed(2),
-		crossborder.WithScale(0.02),
-		crossborder.WithVisitsPerUser(8),
-		crossborder.WithRowStore(crossborder.DiskRowStore("")),
-		crossborder.WithCompression(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := goldenStudy(t, crossborder.WithRowStore(crossborder.DiskRowStore("")))
+	checkGoldenDigests(t, "spill-compressed", st.RenderAll())
 	sp, ok := st.Scenario().Dataset.Store.(*classify.SpillStore)
 	if !ok {
 		t.Fatalf("disk study is backed by %T, want *classify.SpillStore", st.Scenario().Dataset.Store)
 	}
-	// The raw layout adds a few framing bytes per chunk but stays
-	// within a fraction of a percent of the fixed-width reference.
-	if sp.Size() < sp.RawSize() {
-		t.Fatalf("uncompressed spill (%d bytes) is smaller than the raw reference (%d): codec ran despite the override",
-			sp.Size(), sp.RawSize())
+	raw, size := sp.RawSize(), sp.Size()
+	t.Logf("spill file: %d bytes for %d raw (%.2fx, %.2f B/row over %d rows)",
+		size, raw, float64(raw)/float64(size), float64(size)/float64(sp.Len()), sp.Len())
+	if size*3 > raw {
+		t.Errorf("spill compression ratio %.2fx is below the 3x floor (%d of %d raw bytes)",
+			float64(raw)/float64(size), size, raw)
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }

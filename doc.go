@@ -92,12 +92,12 @@
 // indices, whichever is smallest; it cuts the spill file about 3.2x
 // versus the raw layout. Blocks of the earlier frame format that used
 // its zigzag-delta or LZ4 schemes are refused with an error naming
-// that format. WithCompression overrides the default (on for disk,
-// off in memory — turning it on in memory keeps sealed chunks
-// compressed, which is what long-running collectors want). The codec
-// is lossless and checksummed, and every experiment kernel is one
-// projection scan that runs unchanged on every store, so backend and
-// compression choices never change a rendered artifact.
+// that format. The format is fixed per role: the disk store always
+// compresses, the in-memory batch store stays wide (its scans decode
+// nothing), and the live collector's store keeps every full chunk
+// compressed. The codec is lossless and checksummed, and every
+// experiment kernel is one projection scan that runs unchanged on
+// every store, so the backend never changes a rendered artifact.
 //
 // # Scenario packs and sweeps
 //

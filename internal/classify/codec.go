@@ -130,7 +130,7 @@ var errCorrupt = errors.New("classify: corrupt chunk block")
 type ZoneMap struct {
 	Min       [numCols]uint64
 	Max       [numCols]uint64
-	Distinct  [numCols]uint32 // 0 = not computed (raw/uncompressed encode)
+	Distinct  [numCols]uint32 // 0 = not computed (empty chunk)
 	ClassBits uint8
 }
 
@@ -460,11 +460,9 @@ func appendRawVals(dst []byte, vals []uint64, width int) []byte {
 }
 
 // EncodeBlock appends the framed, encoded form of the chunk's nine
-// spilled columns to dst and returns the extended slice. With compress
-// false every column is stored raw (the byte-transparent layout, still
-// framed and checksummed); with compress true each column gets the
-// smallest applicable encoding.
-func (cc *ChunkCodec) EncodeBlock(c *Chunk, compress bool, dst []byte) []byte {
+// spilled columns to dst and returns the extended slice. Each column
+// gets the smallest applicable encoding, raw included.
+func (cc *ChunkCodec) EncodeBlock(c *Chunk, dst []byte) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // crc placeholder
 	flags := byte(frameHasSections)
@@ -485,7 +483,7 @@ func (cc *ChunkCodec) EncodeBlock(c *Chunk, compress bool, dst []byte) []byte {
 			}
 		}
 		before := len(dst)
-		dst = cc.encodeColumn(dst, col, compress)
+		dst = cc.encodeColumn(dst, col)
 		cc.encTags[col] = dst[before]
 		cc.encSizes[col] = len(dst) - before
 	}
@@ -504,12 +502,12 @@ func (cc *ChunkCodec) EncodeBlock(c *Chunk, compress bool, dst []byte) []byte {
 
 // encodeColumn appends [tag][uvarint len][payload] for the staged
 // column, choosing the smallest candidate encoding.
-func (cc *ChunkCodec) encodeColumn(dst []byte, col int, compress bool) []byte {
+func (cc *ChunkCodec) encodeColumn(dst []byte, col int) []byte {
 	width := colWidths[col]
 	vals := cc.vals
 	n := len(vals)
 	rawSize := n * width
-	if !compress || n == 0 {
+	if n == 0 {
 		dst = append(dst, colRaw)
 		dst = binary.AppendUvarint(dst, uint64(rawSize))
 		return appendRawVals(dst, vals, width)

@@ -19,23 +19,23 @@ import (
 func FuzzDecodeChunk(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	cc := GetCodec()
-	mk := func(n int, compress bool) []byte {
-		return cc.EncodeBlock(chunkOf(codecRows(rng, n)), compress, nil)
+	mk := func(n int) []byte {
+		return cc.EncodeBlock(chunkOf(codecRows(rng, n)), nil)
 	}
-	valid := mk(700, true)
+	valid := mk(700)
 	// The same chunk in the pre-section legacy frame (flags==0, no zone
 	// map): old blocks must keep decoding, and the fuzzer should mutate
 	// around both frame shapes.
 	cc.noSections = true
-	legacy := cc.EncodeBlock(chunkOf(codecRows(rng, 300)), true, nil)
+	legacy := cc.EncodeBlock(chunkOf(codecRows(rng, 300)), nil)
 	legacy = append([]byte(nil), legacy...)
 	cc.noSections = false
 	seeds := [][]byte{
 		valid,
-		mk(700, false),
-		mk(1, true),
-		mk(64, true),
-		cc.EncodeBlock(chunkOf(make([]Row, 128)), true, nil), // all-constant columns
+		rawBlock(chunkOf(codecRows(rng, 700))),
+		mk(1),
+		mk(64),
+		cc.EncodeBlock(chunkOf(make([]Row, 128)), nil), // all-constant columns
 		legacy,
 		{},
 		valid[:5],
@@ -64,19 +64,16 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 		n := len(buf.URLHash)
 		buf.Class = make([]Class, n)
-		cc := GetCodec()
-		defer PutCodec(cc)
-		for _, compress := range []bool{true, false} {
-			enc := cc.EncodeBlock(buf, compress, nil)
+		for layout, enc := range encodeBoth(buf) {
 			re := &Chunk{}
 			if err := DecodeBlockInto(enc, n, re); err != nil {
-				t.Fatalf("re-decode of re-encoded chunk failed (compress=%v): %v", compress, err)
+				t.Fatalf("re-decode of re-encoded chunk failed (%s): %v", layout, err)
 			}
 			re.Class = make([]Class, n)
 			for i := 0; i < n; i++ {
 				a, b := buf.Row(i), re.Row(i)
 				if a != b {
-					t.Fatalf("round trip changed row %d (compress=%v): %+v vs %+v", i, compress, a, b)
+					t.Fatalf("round trip changed row %d (%s): %+v vs %+v", i, layout, a, b)
 				}
 			}
 		}

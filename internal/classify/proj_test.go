@@ -5,16 +5,14 @@ import (
 	"testing"
 )
 
-// projVariants builds the four store backends over the same rows: the
-// wide and compressed in-memory stores, and the raw and compressed
-// spill stores.
+// projVariants builds the three store backends over the same rows: the
+// wide and compressed in-memory stores, and the compressed spill store.
 func projVariants(t *testing.T, rows []Row, chunkRows int) map[string]Store {
 	t.Helper()
 	out := make(map[string]Store)
 	for name, mk := range map[string]func() (RowSink, error){
 		"mem/wide":       func() (RowSink, error) { return NewMemStoreChunked(chunkRows), nil },
 		"mem/compressed": func() (RowSink, error) { return NewMemStoreCompressed(chunkRows), nil },
-		"spill/raw":      func() (RowSink, error) { return NewSpillSinkUncompressed(t.TempDir(), chunkRows) },
 		"spill/compressed": func() (RowSink, error) {
 			return NewSpillSink(t.TempDir(), chunkRows)
 		},
@@ -261,7 +259,7 @@ func TestLegacyBlocksDecode(t *testing.T) {
 	c := chunkOf(rows)
 	cc := GetCodec()
 	cc.noSections = true
-	legacy := append([]byte(nil), cc.EncodeBlock(c, true, nil)...)
+	legacy := append([]byte(nil), cc.EncodeBlock(c, nil)...)
 	cc.noSections = false
 	PutCodec(cc)
 

@@ -38,15 +38,17 @@ func NewInternerFromStrings(strs []string) (*Interner, error) {
 }
 
 // RestoreChunk appends one checkpointed chunk — a framed codec block
-// plus its class column — to the store. Chunks must arrive in order on
-// a store that has seen no Append, and only the final restored chunk
-// may be partial (every checkpoint satisfies both by construction).
-// The store keeps full chunks in its native representation (block
-// reference in compressed mode, decoded wide columns otherwise); a
-// partial final chunk is decoded into the open/appendable tail either
-// way, with full chunkRows capacity so later appends never reallocate
-// column arrays out from under epoch snapshots.
+// plus its class column — to a compressed-resident store
+// (NewMemStoreCompressed). Chunks must arrive in order on a store that
+// has seen no Append, and only the final restored chunk may be partial
+// (every checkpoint satisfies both by construction). A full chunk is
+// kept as the block itself; a partial final chunk is decoded into the
+// open tail with full chunkRows capacity, so later appends never
+// reallocate column arrays out from under epoch snapshots.
 func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
+	if !st.compress {
+		return fmt.Errorf("classify: restore into a wide store")
+	}
 	rows := len(classes)
 	if rows == 0 || rows > st.chunkRows {
 		return fmt.Errorf("classify: restore chunk of %d rows into a %d-row store", rows, st.chunkRows)
@@ -56,7 +58,7 @@ func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 	}
 	cls := make([]Class, rows, st.chunkRows)
 	copy(cls, classes)
-	if st.compress && rows == st.chunkRows {
+	if rows == st.chunkRows {
 		st.blocks = append(st.blocks, append([]byte(nil), block...))
 		st.classes = append(st.classes, cls)
 		// Re-derive the sealed-chunk metadata from the block itself.
@@ -80,11 +82,7 @@ func (st *MemStore) RestoreChunk(block []byte, classes []Class) error {
 		return fmt.Errorf("classify: restore chunk %d: %w", st.n/st.chunkRows, err)
 	}
 	c.Class = cls
-	if st.compress {
-		st.open = c
-	} else {
-		st.chunks = append(st.chunks, c)
-	}
+	st.open = c
 	st.n += rows
 	return nil
 }
@@ -105,7 +103,7 @@ func EncodeChunk(st Store, i int) ([]byte, error) {
 	}
 	cc := GetCodec()
 	defer PutCodec(cc)
-	return cc.EncodeBlock(c, true, nil), nil
+	return cc.EncodeBlock(c, nil), nil
 }
 
 // NewMergerOver resumes a merger over a restored dataset: the country

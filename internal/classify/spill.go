@@ -18,14 +18,12 @@ const spillRowBytes = 8 + 4 + 4 + 4 + 4 + 4 + 2 + 1 + 1
 // full chunk to a temporary file as one framed codec block (checksum,
 // declared sizes, per-column encodings — see codec.go), so Scale >> 1
 // datasets never hold more than one open chunk in memory on the write
-// path. Compression is on by default and cuts the spill file
-// severalfold; NewSpillSinkUncompressed keeps the byte-transparent raw
-// column layout inside the same frame. Seal returns the read-side
-// SpillStore, which serves chunks with plain sequential pread calls —
-// no mmap — and keeps only the class column resident.
+// path. The codec cuts the spill file severalfold against the raw
+// fixed-width layout. Seal returns the read-side SpillStore, which
+// serves chunks with plain sequential pread calls — no mmap — and keeps
+// only the class column resident.
 type SpillSink struct {
 	chunkRows int
-	compress  bool
 	f         *os.File
 	removed   bool // file already unlinked (unix: cleaned up on close)
 	w         *bufio.Writer
@@ -47,17 +45,6 @@ type SpillSink struct {
 // selects DefaultChunkRows. The caller owns the sealed store and must
 // Close it to release the file.
 func NewSpillSink(dir string, chunkRows int) (*SpillSink, error) {
-	return newSpillSink(dir, chunkRows, true)
-}
-
-// NewSpillSinkUncompressed is NewSpillSink with the per-chunk codec
-// forced to the raw column layout — the benchmark and equivalence
-// baseline.
-func NewSpillSinkUncompressed(dir string, chunkRows int) (*SpillSink, error) {
-	return newSpillSink(dir, chunkRows, false)
-}
-
-func newSpillSink(dir string, chunkRows int, compress bool) (*SpillSink, error) {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
@@ -72,7 +59,6 @@ func newSpillSink(dir string, chunkRows int, compress bool) (*SpillSink, error) 
 	removed := os.Remove(f.Name()) == nil
 	sk := &SpillSink{
 		chunkRows: chunkRows,
-		compress:  compress,
 		f:         f,
 		removed:   removed,
 		w:         bufio.NewWriterSize(f, 1<<20),
@@ -100,7 +86,7 @@ func (sk *SpillSink) flush() {
 		return
 	}
 	cc := sk.cur.codec()
-	sk.enc = cc.EncodeBlock(sk.cur, sk.compress, sk.enc[:0])
+	sk.enc = cc.EncodeBlock(sk.cur, sk.enc[:0])
 	zm := cc.EncodedZone()
 	sk.zones = append(sk.zones, &zm)
 	tags, sizes, zoneBytes := cc.EncodedColStats()

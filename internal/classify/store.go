@@ -205,6 +205,8 @@ type RowSink interface {
 // chunk stays wide. Reads decode into the caller's buffer. Sealed
 // blocks are immutable, which is what lets the live collector's epoch
 // snapshots share them by reference instead of copying column slices.
+// The live collector runs this mode; batch studies and the cluster's
+// merged view keep the wide mode, whose scans decode nothing.
 type MemStore struct {
 	chunkRows int
 	compress  bool
@@ -259,10 +261,6 @@ func StoreOf(rows ...Row) *MemStore {
 	return st
 }
 
-// Compressed reports whether the store runs in compressed-resident
-// mode.
-func (st *MemStore) Compressed() bool { return st.compress }
-
 // Append implements RowSink.
 func (st *MemStore) Append(r Row) {
 	if st.compress {
@@ -293,7 +291,7 @@ func (st *MemStore) Append(r Row) {
 // the sealed one is left to the GC once unreferenced.
 func (st *MemStore) sealOpen() {
 	cc := GetCodec()
-	st.blocks = append(st.blocks, cc.EncodeBlock(st.open, true, nil))
+	st.blocks = append(st.blocks, cc.EncodeBlock(st.open, nil))
 	zm := cc.EncodedZone()
 	st.zones = append(st.zones, &zm)
 	tags, sizes, zoneBytes := cc.EncodedColStats()

@@ -102,7 +102,7 @@ func TestFaninMergesAndCaches(t *testing.T) {
 	reg, clk := newTestRegistry()
 	shards := map[string]*shard{
 		"c1": newShard(t, world, "c1", ingest.Config{EpochEvents: 251, Workers: 2, ChunkRows: 64}),
-		"c2": newShard(t, world, "c2", ingest.Config{EpochEvents: 1 << 20, Workers: 1, Compress: true}),
+		"c2": newShard(t, world, "c2", ingest.Config{EpochEvents: 1 << 20, Workers: 1}),
 	}
 	defer shards["c1"].close()
 	defer shards["c2"].close()

@@ -281,8 +281,8 @@ func (m *IPMap) estimate(p int, rttMs float64) geodata.Country {
 	best := m.Mesh.Probes[p].Country
 	bestErr := -1.0
 	for cand, d := range m.distanceRow(p) {
-		// MinRTTms of an unknown (-1) distance is 0, as in
-		// RTTModel.MinPossible.
+		// MinRTTms of an unknown (-1) distance is 0: a country without
+		// coordinates is never excluded.
 		minPossible := geodata.MinRTTms(d)
 		if minPossible > rttMs {
 			continue // physically impossible, candidate excluded

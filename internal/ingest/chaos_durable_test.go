@@ -20,7 +20,7 @@ func TestChaosTornCheckpointLeavesOldIntact(t *testing.T) {
 	dir := t.TempDir()
 
 	inj := chaos.New(0xBADD15C)
-	cfg := durableCfg(dir, false)
+	cfg := durableCfg(dir)
 	cfg.FS = chaos.NewFaultFS(inj, "ckpt", chaos.FSFaults{RenameFail: 1}, nil)
 
 	c, _ := recoverNew(t, world, cfg)
@@ -47,7 +47,7 @@ func TestChaosTornCheckpointLeavesOldIntact(t *testing.T) {
 		t.Fatalf("healed checkpoint unreadable: %v", err)
 	}
 
-	rec, _ := recoverNew(t, world, durableCfg(dir, false))
+	rec, _ := recoverNew(t, world, durableCfg(dir))
 	assertSameLive(t, rec.Snapshot(), c.Snapshot())
 }
 
@@ -62,13 +62,13 @@ func TestChaosShortCheckpointWriteIsTransient(t *testing.T) {
 	// Build the journal with the real FS, then flip to an FS that tears
 	// every write: the WAL is already laid down, so the only writes the
 	// flush performs are the rotate header and the checkpoint body.
-	c0, _ := recoverNew(t, world, durableCfg(dir, false))
+	c0, _ := recoverNew(t, world, durableCfg(dir))
 	sendAll(t, c0, batches)
 	want := c0.Snapshot()
 	c0.Close()
 
 	inj := chaos.New(7)
-	cfg := durableCfg(dir, false)
+	cfg := durableCfg(dir)
 	cfg.FS = chaos.NewFaultFS(inj, "ckpt", chaos.FSFaults{ShortWrite: 1}, nil)
 	c, _ := recoverNew(t, world, cfg)
 	if _, err := c.FlushCheckpoint(); !errors.Is(err, chaos.ErrInjected) {
@@ -78,6 +78,6 @@ func TestChaosShortCheckpointWriteIsTransient(t *testing.T) {
 		t.Fatalf("short write published checkpoints %v; want none", ckpts)
 	}
 
-	rec, _ := recoverNew(t, world, durableCfg(dir, false))
+	rec, _ := recoverNew(t, world, durableCfg(dir))
 	assertSameLive(t, rec.Snapshot(), want)
 }

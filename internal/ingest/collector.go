@@ -45,12 +45,6 @@ type Config struct {
 	// columnar default; tests use small values to exercise multi-chunk
 	// snapshots).
 	ChunkRows int
-	// Compress keeps sealed chunks of the live store as compressed
-	// codec blocks (classify.NewMemStoreCompressed): long-running
-	// collectors stop paying full-width memory for cold epochs, and
-	// epoch snapshots share the compressed blocks by reference. The
-	// dataset and every served artifact are identical either way.
-	Compress bool
 	// DataDir makes the collector durable: accepted batches journal to
 	// a write-ahead log and FlushCheckpoint writes epoch checkpoints
 	// under this directory, so a crashed collector recovers its exact
@@ -210,14 +204,11 @@ func NewCollector(world *scenario.Scenario, cfg Config) *Collector {
 		c.pubs[p.Domain] = p
 	}
 	c.sc = classify.NewShardedCollector(world.Graph, world.EasyList, world.EasyPrivacy, world.Start, cfg.Workers)
-	var sink *classify.MemStore
-	if cfg.Compress {
-		sink = classify.NewMemStoreCompressed(cfg.ChunkRows)
-	} else if cfg.ChunkRows > 0 {
-		sink = classify.NewMemStoreChunked(cfg.ChunkRows)
-	} else {
-		sink = classify.NewMemStore()
-	}
+	// The live store keeps every full chunk as a compressed codec block:
+	// long-running collectors stop paying full-width memory for cold
+	// epochs, and epoch snapshots, checkpoints and exports share the
+	// sealed blocks instead of re-encoding them.
+	sink := classify.NewMemStoreCompressed(cfg.ChunkRows)
 	c.store = sink
 	c.merger = classify.NewMerger(world.Start, sink, 0)
 	c.semi = classify.NewLiveSemi(c.merger.Dataset(), cfg.Workers)

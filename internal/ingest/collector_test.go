@@ -78,7 +78,6 @@ func TestReplayReconstructsBatchDataset(t *testing.T) {
 	for _, cfg := range []Config{
 		{EpochEvents: 251, Workers: 3, ChunkRows: 64},
 		{EpochEvents: 1 << 20, Workers: 1},
-		{EpochEvents: 251, Workers: 3, ChunkRows: 64, Compress: true},
 	} {
 		c := NewCollector(world, cfg)
 		snap := ingestAll(t, c, evs, 137)
@@ -134,9 +133,7 @@ func TestReplayReconstructsBatchDataset(t *testing.T) {
 func TestIncrementalAggregatesMatchRescan(t *testing.T) {
 	world, evs, _ := rig(t)
 	for _, epoch := range []int{173, 997, 1 << 20} {
-		// Compress on the middle epoch size: the delta paths must read
-		// identically through decoded sealed blocks.
-		c := NewCollector(world, Config{EpochEvents: epoch, Workers: 2, ChunkRows: 128, Compress: epoch == 997})
+		c := NewCollector(world, Config{EpochEvents: epoch, Workers: 2, ChunkRows: 128})
 		snap := ingestAll(t, c, evs, 211)
 		ds := snap.Dataset()
 

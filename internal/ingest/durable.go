@@ -90,7 +90,6 @@ type ckptMeta struct {
 	Scale     float64 `json:"scale"`
 	StartUnix int64   `json:"start_unix"`
 	ChunkRows int     `json:"chunk_rows"`
-	Compress  bool    `json:"compress"`
 
 	Rows      int         `json:"rows"`
 	Visits    int         `json:"visits"`
@@ -364,7 +363,6 @@ func (c *Collector) encodeCheckpoint(walSeg int) ([]byte, error) {
 		Scale:       c.world.Params.Scale,
 		StartUnix:   c.world.Start.Unix(),
 		ChunkRows:   st.ChunkRows(),
-		Compress:    st.Compressed(),
 		Rows:        st.Len(),
 		Visits:      ds.Visits,
 		Epochs:      c.epochs,
@@ -530,18 +528,15 @@ func (c *Collector) restoreCheckpoint(meta *ckptMeta, blocks [][]byte, classes [
 	if meta.StartUnix != c.world.Start.Unix() {
 		return fmt.Errorf("checkpoint start time %d does not match the world's %d", meta.StartUnix, c.world.Start.Unix())
 	}
-	if meta.ChunkRows != c.store.ChunkRows() || meta.Compress != c.store.Compressed() {
-		return fmt.Errorf("checkpoint layout (chunkRows=%d compress=%v) does not match the configured store (chunkRows=%d compress=%v)",
-			meta.ChunkRows, meta.Compress, c.store.ChunkRows(), c.store.Compressed())
+	if meta.ChunkRows != c.store.ChunkRows() {
+		return fmt.Errorf("checkpoint layout (chunkRows=%d) does not match the configured store (chunkRows=%d)",
+			meta.ChunkRows, c.store.ChunkRows())
 	}
 
-	var sink *classify.MemStore
-	switch {
-	case meta.Compress:
-		sink = classify.NewMemStoreCompressed(meta.ChunkRows)
-	default:
-		sink = classify.NewMemStoreChunked(meta.ChunkRows)
-	}
+	// Every checkpoint stores its chunks as codec blocks, so one written
+	// by a wide-store collector (whose meta still carries a "compress"
+	// key, ignored here) restores into the compressed store as well.
+	sink := classify.NewMemStoreCompressed(meta.ChunkRows)
 	buf := classify.GetChunk()
 	defer classify.PutChunk(buf)
 	for ci := range blocks {

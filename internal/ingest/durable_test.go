@@ -1,8 +1,9 @@
 package ingest
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,9 +111,9 @@ func assertSameLive(t *testing.T, got, want *Snapshot) {
 	}
 }
 
-func durableCfg(dir string, compress bool) Config {
+func durableCfg(dir string) Config {
 	return Config{
-		EpochEvents: 251, Workers: 3, ChunkRows: 64, Compress: compress,
+		EpochEvents: 251, Workers: 3, ChunkRows: 64,
 		DataDir: dir, WALSync: "none",
 	}
 }
@@ -133,44 +134,97 @@ func recoverNew(t *testing.T, world *scenario.Scenario, cfg Config) (*Collector,
 // and then "crashes" (abandoned without flush, WAL tail pending)
 // recovers — checkpoint load + WAL replay + client re-send — to a state
 // identical to a memory-only collector that saw the whole stream
-// uninterrupted. Compression changes the checkpointed store layout, so
-// both modes are exercised.
+// uninterrupted.
 func TestDurableRecoveryRoundTrip(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
-	for _, compress := range []bool{false, true} {
-		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
-			memCfg := durableCfg("", compress)
-			memCfg.DataDir = ""
-			ref := NewCollector(world, memCfg)
-			defer ref.Close()
-			sendAll(t, ref, batches)
-			want := ref.Flush()
+	ref := NewCollector(world, durableCfg(""))
+	defer ref.Close()
+	sendAll(t, ref, batches)
+	want := ref.Flush()
 
-			dir := t.TempDir()
-			c1, _ := recoverNew(t, world, durableCfg(dir, compress))
-			half := len(batches) / 2
-			sendAll(t, c1, batches[:half])
-			if _, err := c1.FlushCheckpoint(); err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			// Past the checkpoint: these live only in the WAL tail.
-			sendAll(t, c1, batches[half:half+half/2])
-			// Crash: no flush, no checkpoint, no close.
+	dir := t.TempDir()
+	c1, _ := recoverNew(t, world, durableCfg(dir))
+	half := len(batches) / 2
+	sendAll(t, c1, batches[:half])
+	if _, err := c1.FlushCheckpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	// Past the checkpoint: these live only in the WAL tail.
+	sendAll(t, c1, batches[half:half+half/2])
+	// Crash: no flush, no checkpoint, no close.
 
-			c2, stats := recoverNew(t, world, durableCfg(dir, compress))
-			if stats.CheckpointEpoch == 0 {
-				t.Fatal("recovery found no checkpoint")
+	c2, stats := recoverNew(t, world, durableCfg(dir))
+	if stats.CheckpointEpoch == 0 {
+		t.Fatal("recovery found no checkpoint")
+	}
+	if stats.Records == 0 {
+		t.Fatal("recovery replayed no WAL records despite an uncheckpointed tail")
+	}
+	// The client's at-least-once contract: re-send everything,
+	// dedup accepts only what the crash lost.
+	sendAll(t, c2, batches)
+	assertSameLive(t, c2.Flush(), want)
+}
+
+// TestLegacyCompressKeyCheckpointRecovers: checkpoints written before
+// the live store format was fixed carry a "compress" key in their meta
+// JSON — false from a wide-store collector, true from a compressed
+// one. Their chunks were codec blocks either way, so both must recover
+// and serve the same 20 artifacts as the collector that wrote them.
+func TestLegacyCompressKeyCheckpointRecovers(t *testing.T) {
+	world, evs, _ := rig(t)
+	dir := t.TempDir()
+	c1, _ := recoverNew(t, world, durableCfg(dir))
+	sendAll(t, c1, batchList(evs, 137))
+	want, err := c1.FlushCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no checkpoint written: %v", err)
+	}
+	newest := ckpts[len(ckpts)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, blocks, classes, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, legacy := range []string{"false", "true"} {
+		spliced := append([]byte(`{"compress":`+legacy+`,`), head[1:]...)
+		legacyDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(legacyDir, filepath.Base(newest)),
+			frameCheckpoint(spliced, blocks, classes), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c2, stats := recoverNew(t, world, durableCfg(legacyDir))
+		if stats.CheckpointEpoch == 0 {
+			t.Fatalf("compress=%s: recovery found no checkpoint", legacy)
+		}
+		got := c2.Snapshot()
+		assertSameLive(t, got, want)
+		for _, id := range want.Suite().IDs() {
+			wa, err := want.Suite().Artifact(ctx, id)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if stats.Records == 0 {
-				t.Fatal("recovery replayed no WAL records despite an uncheckpointed tail")
+			ga, err := got.Suite().Artifact(ctx, id)
+			if err != nil {
+				t.Fatalf("compress=%s: %s: %v", legacy, id, err)
 			}
-			// The client's at-least-once contract: re-send everything,
-			// dedup accepts only what the crash lost.
-			sendAll(t, c2, batches)
-			got := c2.Flush()
-			assertSameLive(t, got, want)
-		})
+			if ga.Render() != wa.Render() {
+				t.Errorf("compress=%s: %s renders differently after recovery", legacy, id)
+			}
+		}
 	}
 }
 
@@ -181,7 +235,7 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 func TestCheckpointCoversAllWAL(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
-	memCfg := durableCfg("", true)
+	memCfg := durableCfg("")
 	memCfg.DataDir = ""
 	ref := NewCollector(world, memCfg)
 	defer ref.Close()
@@ -189,12 +243,12 @@ func TestCheckpointCoversAllWAL(t *testing.T) {
 	want := ref.Flush()
 
 	dir := t.TempDir()
-	c1, _ := recoverNew(t, world, durableCfg(dir, true))
+	c1, _ := recoverNew(t, world, durableCfg(dir))
 	sendAll(t, c1, batches)
 	if _, err := c1.FlushCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	c2, stats := recoverNew(t, world, durableCfg(dir, true))
+	c2, stats := recoverNew(t, world, durableCfg(dir))
 	if stats.Records != 0 {
 		t.Fatalf("replayed %d records, want 0 (checkpoint covers the full WAL)", stats.Records)
 	}
@@ -207,7 +261,7 @@ func TestCheckpointCoversAllWAL(t *testing.T) {
 func TestTornWALTailRecovered(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
-	memCfg := durableCfg("", false)
+	memCfg := durableCfg("")
 	memCfg.DataDir = ""
 	ref := NewCollector(world, memCfg)
 	defer ref.Close()
@@ -215,7 +269,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 	want := ref.Flush()
 
 	dir := t.TempDir()
-	c1, _ := recoverNew(t, world, durableCfg(dir, false))
+	c1, _ := recoverNew(t, world, durableCfg(dir))
 	sendAll(t, c1, batches)
 	// Crash mid-write: tear bytes off the newest segment.
 	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
@@ -231,7 +285,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, _ := recoverNew(t, world, durableCfg(dir, false))
+	c2, _ := recoverNew(t, world, durableCfg(dir))
 	sendAll(t, c2, batches) // re-send restores the torn suffix
 	assertSameLive(t, c2.Flush(), want)
 }
@@ -243,7 +297,7 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
 	dir := t.TempDir()
-	c1, _ := recoverNew(t, world, durableCfg(dir, false))
+	c1, _ := recoverNew(t, world, durableCfg(dir))
 	sendAll(t, c1, batches)
 	if _, err := c1.FlushCheckpoint(); err != nil {
 		t.Fatal(err)
@@ -260,7 +314,7 @@ func TestCorruptCheckpointRefused(t *testing.T) {
 	if err := os.WriteFile(cks[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCollector(world, durableCfg(dir, false))
+	c2 := NewCollector(world, durableCfg(dir))
 	defer c2.Close()
 	if _, err := c2.Recover(); !errors.Is(err, errCkptCorrupt) {
 		t.Fatalf("recover = %v, want corrupt-checkpoint error", err)
@@ -275,7 +329,7 @@ func TestDurableGates(t *testing.T) {
 	batches := batchList(evs, 137)
 	dir := t.TempDir()
 
-	c := NewCollector(world, durableCfg(dir, false))
+	c := NewCollector(world, durableCfg(dir))
 	defer c.Close()
 	if c.Ready() {
 		t.Fatal("durable collector born ready")
@@ -301,8 +355,10 @@ func TestDurableGates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Layout mismatch: same dir, compression flipped.
-	bad := NewCollector(world, durableCfg(dir, true))
+	// Layout mismatch: same dir, a different chunk size.
+	badCfg := durableCfg(dir)
+	badCfg.ChunkRows *= 2
+	bad := NewCollector(world, badCfg)
 	defer bad.Close()
 	if _, err := bad.Recover(); err == nil || !strings.Contains(err.Error(), "layout") {
 		t.Fatalf("layout-mismatch recover = %v, want layout error", err)
@@ -315,7 +371,7 @@ func TestWALSyncPolicies(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
 	for _, pol := range []string{"always", "interval", "none"} {
-		cfg := durableCfg(t.TempDir(), false)
+		cfg := durableCfg(t.TempDir())
 		cfg.WALSync = pol
 		c, _ := recoverNew(t, world, cfg)
 		sendAll(t, c, batches[:4])
@@ -323,7 +379,7 @@ func TestWALSyncPolicies(t *testing.T) {
 			t.Fatalf("%s: %v", pol, err)
 		}
 	}
-	cfg := durableCfg(t.TempDir(), false)
+	cfg := durableCfg(t.TempDir())
 	cfg.WALSync = "sometimes"
 	c := NewCollector(world, cfg)
 	defer c.Close()

@@ -25,14 +25,14 @@ func shardEvents(evs map[int32][]Event, n int) []map[int32][]Event {
 }
 
 // exportShards ingests each partition into its own collector (varied
-// configs: epoch sizes, chunk sizes, one compressed shard) and returns
+// configs: epoch sizes, chunk sizes, worker counts) and returns
 // the decoded /v1/snapshot exports.
 func exportShards(t *testing.T, world *scenario.Scenario, parts []map[int32][]Event) []*ShardExport {
 	t.Helper()
 	cfgs := []Config{
 		{EpochEvents: 149, Workers: 2, ChunkRows: 64},
 		{EpochEvents: 1 << 20, Workers: 1},
-		{EpochEvents: 307, Workers: 3, ChunkRows: 128, Compress: true},
+		{EpochEvents: 307, Workers: 3, ChunkRows: 128},
 	}
 	exports := make([]*ShardExport, len(parts))
 	for i, part := range parts {

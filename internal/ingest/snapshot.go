@@ -230,10 +230,7 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 	if prev != nil {
 		prevStore, _ = prev.ds.Store.(*snapStore)
 	}
-	sealed := 0
-	if st.Compressed() {
-		sealed = st.SealedBlocks()
-	}
+	sealed := st.SealedBlocks()
 	chunks := make([]snapChunk, numChunks)
 	classes := make([][]classify.Class, numChunks)
 	zones := make([]*classify.ZoneMap, numChunks)
@@ -258,8 +255,7 @@ func (c *Collector) buildSnapshot(prev *Snapshot, prevRows int, dirty map[int]st
 			zones[ci] = st.ZoneMap(ci)
 			continue
 		}
-		// Wide chunk (every chunk of a wide store; the open tail of a
-		// compressed one): the columns are append-only, so capped
+		// The open tail chunk: its columns are append-only, so capped
 		// slices shared with the live store stay frozen.
 		lc := classify.MustChunk(st, ci, nil)
 		rows := lc.Len()

@@ -22,6 +22,12 @@ func resign(t *testing.T, meta *ckptMeta, blocks [][]byte, classes [][]classify.
 	if err != nil {
 		t.Fatal(err)
 	}
+	return frameCheckpoint(head, blocks, classes)
+}
+
+// frameCheckpoint frames a meta JSON head and its chunks as an XCKP1
+// payload with a fresh CRC.
+func frameCheckpoint(head []byte, blocks [][]byte, classes [][]classify.Class) []byte {
 	body := binary.AppendUvarint(nil, uint64(len(head)))
 	body = append(body, head...)
 	for ci, block := range blocks {
@@ -77,7 +83,7 @@ func loadBoth(t *testing.T, world *scenario.Scenario, cfg Config, data []byte) (
 // contradict themselves — an empty publishers table under rows that
 // name publishers, a class byte outside the classes, a negative flow
 // count, a duplicated user — is refused by both Recover and
-// MergeExports, with an error and no panic, on both store layouts.
+// MergeExports, with an error and no panic.
 func TestMutatedExportsRefused(t *testing.T) {
 	world, evs, _ := rig(t)
 	mutations := []struct {
@@ -89,43 +95,41 @@ func TestMutatedExportsRefused(t *testing.T) {
 		{"negative flow", func(m *ckptMeta, _ [][]classify.Class) { m.Truth.Flows[0].N = -1 }},
 		{"duplicate user", func(m *ckptMeta, _ [][]classify.Class) { m.Users[1] = m.Users[0] }},
 	}
-	for _, compress := range []bool{false, true} {
-		cfg := durableCfg("", compress)
-		c := NewCollector(world, cfg)
-		ingestAll(t, c, evs, 197)
-		data, _, err := c.EncodeSnapshot()
-		c.Close()
+	cfg := durableCfg("")
+	c := NewCollector(world, cfg)
+	ingestAll(t, c, evs, 197)
+	data, _, err := c.EncodeSnapshot()
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func() (*ckptMeta, [][]byte, [][]classify.Class) {
+		meta, blocks, classes, err := decodeCheckpoint(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parse := func() (*ckptMeta, [][]byte, [][]classify.Class) {
-			meta, blocks, classes, err := decodeCheckpoint(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return meta, blocks, classes
-		}
+		return meta, blocks, classes
+	}
 
-		// Control: the unmutated, re-signed payload loads on both sides,
-		// so every refusal below is the mutation's doing.
+	// Control: the unmutated, re-signed payload loads on both sides,
+	// so every refusal below is the mutation's doing.
+	meta, blocks, classes := parse()
+	if rerr, merr := loadBoth(t, world, cfg, resign(t, meta, blocks, classes)); rerr != nil || merr != nil {
+		t.Fatalf("unmutated export refused: Recover %v, MergeExports %v", rerr, merr)
+	}
+	if len(meta.Truth.Flows) == 0 || len(meta.Users) < 2 {
+		t.Fatalf("export too small to mutate (%d flows, %d users)", len(meta.Truth.Flows), len(meta.Users))
+	}
+
+	for _, m := range mutations {
 		meta, blocks, classes := parse()
-		if rerr, merr := loadBoth(t, world, cfg, resign(t, meta, blocks, classes)); rerr != nil || merr != nil {
-			t.Fatalf("compress=%v: unmutated export refused: Recover %v, MergeExports %v", compress, rerr, merr)
+		m.mutate(meta, classes)
+		rerr, merr := loadBoth(t, world, cfg, resign(t, meta, blocks, classes))
+		if rerr == nil {
+			t.Errorf("%s: Recover accepted the mutated checkpoint", m.name)
 		}
-		if len(meta.Truth.Flows) == 0 || len(meta.Users) < 2 {
-			t.Fatalf("compress=%v: export too small to mutate (%d flows, %d users)", compress, len(meta.Truth.Flows), len(meta.Users))
-		}
-
-		for _, m := range mutations {
-			meta, blocks, classes := parse()
-			m.mutate(meta, classes)
-			rerr, merr := loadBoth(t, world, cfg, resign(t, meta, blocks, classes))
-			if rerr == nil {
-				t.Errorf("compress=%v %s: Recover accepted the mutated checkpoint", compress, m.name)
-			}
-			if merr == nil {
-				t.Errorf("compress=%v %s: MergeExports accepted the mutated export", compress, m.name)
-			}
+		if merr == nil {
+			t.Errorf("%s: MergeExports accepted the mutated export", m.name)
 		}
 	}
 }

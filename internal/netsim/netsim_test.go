@@ -222,10 +222,13 @@ func TestEyeballBlocks(t *testing.T) {
 func TestRTTModelPhysicalBound(t *testing.T) {
 	var m RTTModel
 	rng := rand.New(rand.NewSource(1))
+	floor := geodata.MinRTTms(geodata.DistanceKm("DE", "US"))
+	if floor <= 0 {
+		t.Fatalf("DE-US physical minimum %f, want > 0", floor)
+	}
 	for i := 0; i < 200; i++ {
-		rtt := m.Measure(rng, "DE", "US")
-		if rtt < m.MinPossible("DE", "US") {
-			t.Fatalf("RTT %f below physical minimum %f", rtt, m.MinPossible("DE", "US"))
+		if rtt := m.Measure(rng, "DE", "US"); rtt < floor {
+			t.Fatalf("RTT %f below physical minimum %f", rtt, floor)
 		}
 	}
 	// Close countries must generally measure lower than far ones.
@@ -245,8 +248,10 @@ func TestRTTUnknownCountry(t *testing.T) {
 	if rtt := m.Measure(rng, "DE", "??"); rtt < 50 {
 		t.Errorf("unknown country RTT %f suspiciously low", rtt)
 	}
-	if m.MinPossible("DE", "??") != 0 {
-		t.Error("unknown country MinPossible should be 0")
+	// DistanceKm reports -1 for an unknown country, so the physical
+	// bound the geolocator filters on degrades to 0.
+	if floor := geodata.MinRTTms(geodata.DistanceKm("DE", "??")); floor != 0 {
+		t.Errorf("unknown country physical minimum = %f, want 0", floor)
 	}
 }
 

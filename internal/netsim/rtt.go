@@ -63,13 +63,3 @@ func (m RTTModel) MeasureKm(rng *rand.Rand, d float64) float64 {
 	base := geodata.MinRTTms(d) * m.stretch()
 	return base + m.lastMile() + rng.Float64()*m.jitter()
 }
-
-// MinPossible returns the physical lower bound for an RTT between the two
-// countries, used by the geolocator's speed-of-light filter.
-func (m RTTModel) MinPossible(from, to geodata.Country) float64 {
-	d := geodata.DistanceKm(from, to)
-	if d < 0 {
-		return 0
-	}
-	return geodata.MinRTTms(d)
-}

@@ -42,9 +42,8 @@ func TestLiveReplayGoldenParity(t *testing.T) {
 	events := ingest.RecordSimulation(world, visits, 3)
 
 	for _, cfg := range []ingest.Config{
-		{EpochEvents: 1777, Workers: 3, ChunkRows: 512},                 // many epochs, multi-chunk, parallel shards
-		{EpochEvents: 1 << 22, Workers: 1},                              // one epoch, sequential
-		{EpochEvents: 1777, Workers: 3, ChunkRows: 512, Compress: true}, // compressed-resident live store
+		{EpochEvents: 1777, Workers: 3, ChunkRows: 512}, // many epochs, multi-chunk, parallel shards
+		{EpochEvents: 1 << 22, Workers: 1},              // one epoch, sequential
 	} {
 		c := ingest.NewCollector(world, cfg)
 		srv := httptest.NewServer(ingest.NewServer(c))

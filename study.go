@@ -30,10 +30,6 @@ type Options struct {
 	// RowStore selects the dataset row storage backend (the zero value
 	// is the in-memory columnar store; see DiskRowStore).
 	RowStore RowStore
-	// Compression overrides the row store's per-chunk codec (the zero
-	// value compresses disk stores and keeps memory stores wide; see
-	// WithCompression).
-	Compression Compression
 	// Pack names the scenario pack to apply ("" or "default" builds the
 	// unmodified study; see WithPack and Packs).
 	Pack string
@@ -100,26 +96,14 @@ func New(ctx context.Context, opts ...Option) (*Study, error) {
 			return nil, err
 		}
 	}
-	compress := o.RowStore.disk // codec default: on for spill, off for memory
-	switch o.Compression {
-	case CompressionOn:
-		compress = true
-	case CompressionOff:
-		compress = false
-	}
+	// The disk store always spills compressed blocks. The in-memory
+	// store stays wide: compressing it adds a seal-time encode that no
+	// batch read earns back.
 	rs := o.RowStore
 	switch {
-	case rs.disk && compress:
-		params.RowSink = func() (classify.RowSink, error) {
-			return classify.NewSpillSink(rs.dir, rs.chunkRows)
-		}
 	case rs.disk:
 		params.RowSink = func() (classify.RowSink, error) {
-			return classify.NewSpillSinkUncompressed(rs.dir, rs.chunkRows)
-		}
-	case compress:
-		params.RowSink = func() (classify.RowSink, error) {
-			return classify.NewMemStoreCompressed(rs.chunkRows), nil
+			return classify.NewSpillSink(rs.dir, rs.chunkRows)
 		}
 	case rs.chunkRows > 0:
 		params.RowSink = func() (classify.RowSink, error) {
