@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,7 +135,10 @@ func recoverNew(t *testing.T, world *scenario.Scenario, cfg Config) (*Collector,
 // and then "crashes" (abandoned without flush, WAL tail pending)
 // recovers — checkpoint load + WAL replay + client re-send — to a state
 // identical to a memory-only collector that saw the whole stream
-// uninterrupted.
+// uninterrupted. Checkpoints written before the live store format was
+// fixed carry a "compress" key in their meta — false from a wide-store
+// collector, true from a compressed one — so each subtest splices one
+// value into the crash's checkpoint before recovering from it.
 func TestDurableRecoveryRoundTrip(t *testing.T) {
 	world, evs, _ := rig(t)
 	batches := batchList(evs, 137)
@@ -143,50 +147,52 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 	sendAll(t, ref, batches)
 	want := ref.Flush()
 
-	dir := t.TempDir()
-	c1, _ := recoverNew(t, world, durableCfg(dir))
-	half := len(batches) / 2
-	sendAll(t, c1, batches[:half])
-	if _, err := c1.FlushCheckpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	// Past the checkpoint: these live only in the WAL tail.
-	sendAll(t, c1, batches[half:half+half/2])
-	// Crash: no flush, no checkpoint, no close.
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compress=%v", legacy), func(t *testing.T) {
+			dir := t.TempDir()
+			c1, _ := recoverNew(t, world, durableCfg(dir))
+			half := len(batches) / 2
+			sendAll(t, c1, batches[:half])
+			if _, err := c1.FlushCheckpoint(); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			// Past the checkpoint: these live only in the WAL tail.
+			sendAll(t, c1, batches[half:half+half/2])
+			// Crash: no flush, no checkpoint, no close.
+			ckpt := newestCheckpoint(t, dir)
+			writeLegacyCompressKey(t, ckpt, ckpt, legacy)
 
-	c2, stats := recoverNew(t, world, durableCfg(dir))
-	if stats.CheckpointEpoch == 0 {
-		t.Fatal("recovery found no checkpoint")
+			c2, stats := recoverNew(t, world, durableCfg(dir))
+			if stats.CheckpointEpoch == 0 {
+				t.Fatal("recovery found no checkpoint")
+			}
+			if stats.Records == 0 {
+				t.Fatal("recovery replayed no WAL records despite an uncheckpointed tail")
+			}
+			// The client's at-least-once contract: re-send everything,
+			// dedup accepts only what the crash lost.
+			sendAll(t, c2, batches)
+			assertSameLive(t, c2.Flush(), want)
+		})
 	}
-	if stats.Records == 0 {
-		t.Fatal("recovery replayed no WAL records despite an uncheckpointed tail")
-	}
-	// The client's at-least-once contract: re-send everything,
-	// dedup accepts only what the crash lost.
-	sendAll(t, c2, batches)
-	assertSameLive(t, c2.Flush(), want)
 }
 
-// TestLegacyCompressKeyCheckpointRecovers: checkpoints written before
-// the live store format was fixed carry a "compress" key in their meta
-// JSON — false from a wide-store collector, true from a compressed
-// one. Their chunks were codec blocks either way, so both must recover
-// and serve the same 20 artifacts as the collector that wrote them.
-func TestLegacyCompressKeyCheckpointRecovers(t *testing.T) {
-	world, evs, _ := rig(t)
-	dir := t.TempDir()
-	c1, _ := recoverNew(t, world, durableCfg(dir))
-	sendAll(t, c1, batchList(evs, 137))
-	want, err := c1.FlushCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+// newestCheckpoint returns the path of the newest checkpoint in dir.
+func newestCheckpoint(t *testing.T, dir string) string {
+	t.Helper()
 	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
 	if err != nil || len(ckpts) == 0 {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
-	newest := ckpts[len(ckpts)-1]
-	data, err := os.ReadFile(newest)
+	return ckpts[len(ckpts)-1]
+}
+
+// writeLegacyCompressKey writes the checkpoint at src to dst with a
+// "compress" key spliced into its meta JSON and a fresh CRC, as a
+// checkpoint from before the live store format was fixed.
+func writeLegacyCompressKey(t *testing.T, src, dst string, legacy bool) {
+	t.Helper()
+	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +204,32 @@ func TestLegacyCompressKeyCheckpointRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spliced := append([]byte(fmt.Sprintf(`{"compress":%v,`, legacy)), head[1:]...)
+	if err := os.WriteFile(dst, frameCheckpoint(spliced, blocks, classes), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLegacyCompressKeyCheckpointRecovers: a checkpoint carrying either
+// value of the legacy "compress" key recovers and serves the same 20
+// artifacts as the collector that wrote it.
+func TestLegacyCompressKeyCheckpointRecovers(t *testing.T) {
+	world, evs, _ := rig(t)
+	dir := t.TempDir()
+	c1, _ := recoverNew(t, world, durableCfg(dir))
+	sendAll(t, c1, batchList(evs, 137))
+	want, err := c1.FlushCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := newestCheckpoint(t, dir)
 	ctx := context.Background()
-	for _, legacy := range []string{"false", "true"} {
-		spliced := append([]byte(`{"compress":`+legacy+`,`), head[1:]...)
+	for _, legacy := range []bool{false, true} {
 		legacyDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(legacyDir, filepath.Base(newest)),
-			frameCheckpoint(spliced, blocks, classes), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeLegacyCompressKey(t, newest, filepath.Join(legacyDir, filepath.Base(newest)), legacy)
 		c2, stats := recoverNew(t, world, durableCfg(legacyDir))
 		if stats.CheckpointEpoch == 0 {
-			t.Fatalf("compress=%s: recovery found no checkpoint", legacy)
+			t.Fatalf("compress=%v: recovery found no checkpoint", legacy)
 		}
 		got := c2.Snapshot()
 		assertSameLive(t, got, want)
@@ -219,10 +240,10 @@ func TestLegacyCompressKeyCheckpointRecovers(t *testing.T) {
 			}
 			ga, err := got.Suite().Artifact(ctx, id)
 			if err != nil {
-				t.Fatalf("compress=%s: %s: %v", legacy, id, err)
+				t.Fatalf("compress=%v: %s: %v", legacy, id, err)
 			}
 			if ga.Render() != wa.Render() {
-				t.Errorf("compress=%s: %s renders differently after recovery", legacy, id)
+				t.Errorf("compress=%v: %s renders differently after recovery", legacy, id)
 			}
 		}
 	}
